@@ -13,41 +13,36 @@ queue already trusts (:mod:`repro.simulation.distributed`):
 * **results** — a ``done`` job's export payload under ``results/``,
   written *before* the ``done`` transition is journaled, so any reader
   that observes ``done`` is guaranteed to find the result;
-* **leases** — dispatch claims under ``leases/``, created with
-  ``O_CREAT | O_EXCL`` exactly like the work queue's task leases.  Two
-  servers sharing one state dir race the exclusive create; precisely
-  one wins and dispatches, the loser watches the winner's journal.
-  Leases are litter once the job's journal is terminal: the owning
-  table releases them after execution, and recovery sweeps whatever a
-  crash left behind, so a long-lived state dir does not accrete one
-  file per job;
+* **leases** — dispatch claims under ``leases/``, one
+  :mod:`repro.leases` lease per job.  Two servers sharing one state dir
+  race for it; precisely one wins and dispatches, the loser watches the
+  winner's journal.  Leases are litter once the job's journal is
+  terminal: the owning table releases them after execution, and
+  recovery sweeps whatever a crash left behind (steal tombstones
+  included), so a long-lived state dir does not accrete one file per
+  job;
 * **id reservations** — a new job's number is reserved with an
-  ``O_EXCL`` create of its (initially empty) journal file, so two live
+  exclusive create of its (initially empty) journal file, so two live
   servers sharing the dir can never mint the same ``job-%06d`` id and
   silently overwrite each other's journals.
 
-Liveness is judged the way an operator would: a lease names its owner
-as ``host:pid:token``.  On the same host a dead pid is dead evidence —
+Every write and create goes through :mod:`repro.leases`.  Liveness is
+judged the way an operator would: a lease names its owner as
+``host:pid:token``.  On the same host a dead pid is dead evidence —
 the job it was running crashed with its server.  Across hosts the
-lease's heartbeat mtime decides, with the work queue's skew-margin
-rule (:func:`~repro.simulation.distributed.lease_steal_threshold`), so
-the table's heartbeat thread keeps cross-host claims visibly alive.
+lease's heartbeat mtime decides (:func:`repro.leases.fresh`), so the
+table's heartbeat thread keeps cross-host claims visibly alive.
 """
 
 from __future__ import annotations
 
 import os
 import socket
-import time
 import uuid
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
-from repro.simulation.distributed import (
-    _atomic_write_json,
-    _read_json,
-    lease_steal_threshold,
-)
+from repro import leases
 
 # Job leases heartbeat from a dedicated table thread (not per-seed like
 # the work queue), so the default TTL can stay short without risking a
@@ -115,11 +110,11 @@ class JobStateStore:
     # -- the job journal ------------------------------------------------
     def save_job(self, payload: Dict[str, object]) -> None:
         """Publish a job's latest state atomically (last writer wins)."""
-        _atomic_write_json(self._job_path(str(payload["id"])), payload)
+        leases.atomic_write_json(self._job_path(str(payload["id"])), payload)
 
     def load_job(self, job_id: str) -> Optional[Dict[str, object]]:
         """The journaled payload, or ``None`` when absent/corrupt."""
-        return _read_json(self._job_path(job_id))
+        return leases.read_json(self._job_path(job_id))
 
     def reserve_job_id(self, number: int) -> Optional[str]:
         """Reserve ``job-%06d`` for this server; ``None`` when taken.
@@ -132,14 +127,8 @@ class JobStateStore:
         last-writer-wins journal each other's jobs away.
         """
         job_id = f"job-{number:06d}"
-        try:
-            fd = os.open(
-                self._job_path(job_id),
-                os.O_CREAT | os.O_EXCL | os.O_WRONLY,
-            )
-        except FileExistsError:
+        if not leases.create_exclusive(self._job_path(job_id)):
             return None
-        os.close(fd)
         return job_id
 
     def job_ids(self) -> List[str]:
@@ -176,110 +165,48 @@ class JobStateStore:
 
     # -- result payloads ------------------------------------------------
     def save_result(self, job_id: str, payload: Dict[str, object]) -> None:
-        _atomic_write_json(self._result_path(job_id), payload)
+        leases.atomic_write_json(self._result_path(job_id), payload)
 
     def load_result(self, job_id: str) -> Optional[Dict[str, object]]:
-        return _read_json(self._result_path(job_id))
+        return leases.read_json(self._result_path(job_id))
 
     # -- dispatch leases ------------------------------------------------
     def claim(self, job_id: str) -> bool:
         """Claim the right to dispatch ``job_id``; one winner per claim.
 
-        A fresh claim is the work queue's ``O_CREAT | O_EXCL`` create.
-        A lease whose owner is provably dead is stolen the same way
-        task leases are: rename to a unique tombstone (``os.rename``
-        succeeds for exactly one stealer), then take the vacant slot
-        with another exclusive create.
-
-        ``os.rename`` clobbers whatever sits at the lease path — which,
-        between our liveness check and our rename, may no longer be the
-        corpse we judged dead but a *fresh* lease a racing stealer just
-        re-created.  So the tombstone is re-examined after the rename:
-        if it holds a live owner's lease we displaced, that lease is
-        put back (``os.link`` restores the very same inode, so the
-        owner's heartbeat keeps touching it) and the claim is
-        abandoned.  Tombstones are unlinked once the steal resolves;
-        only a stealer crashing mid-steal leaves one for the recovery
-        sweep.
+        A lease whose owner is provably dead is stolen
+        (:func:`repro.leases.acquire`); the steal's tombstone is
+        unlinked once the steal resolves, so only a stealer crashing
+        mid-steal leaves one for the recovery sweep.
         """
-        lease = self._lease_path(job_id)
-        try:
-            fd = os.open(lease, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            if self.lease_live(job_id):
-                return False
-            tombstone = lease.parent / (
-                f"{lease.name}.stale-{uuid.uuid4().hex[:8]}"
-            )
-            try:
-                os.rename(lease, tombstone)
-            except OSError:
-                return False  # a racing stealer won the rename
-            if self._tombstone_live(tombstone):
-                try:
-                    os.link(tombstone, lease)
-                except OSError:
-                    pass  # slot re-taken; nothing safe left to do
-                self._unlink(tombstone)
-                return False
-            try:
-                fd = os.open(lease, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-            except FileExistsError:
-                self._unlink(tombstone)
-                return False  # a fresh claimer slipped into the vacancy
-            self._unlink(tombstone)
-        try:
-            with os.fdopen(fd, "w") as handle:
-                handle.write(self.owner)
-        except OSError:
-            pass  # the lease file itself is the claim; owner is advisory
-        return True
+        return leases.acquire(
+            self._lease_path(job_id), self.owner, self._owner_live,
+            keep_tombstone=False,
+        ) is not None
 
     def lease_owner(self, job_id: str) -> Optional[str]:
-        try:
-            return self._lease_path(job_id).read_text().strip()
-        except OSError:
-            return None
+        return leases.read_owner(self._lease_path(job_id))
 
     def _owner_live(self, owner: str, mtime: float) -> bool:
         """Liveness verdict for a lease's owner string + heartbeat mtime.
 
         Same host: the owner pid decides (a dead pid is dead evidence,
         no TTL wait).  Other hosts — or a lease created so freshly its
-        owner is not written yet — the heartbeat mtime decides, with
-        the work queue's skew margin.
+        owner is not written yet — the heartbeat mtime decides.
         """
         host, _, rest = owner.partition(":")
         pid_text = rest.partition(":")[0]
         if host == self.host and pid_text.isdigit():
             return _pid_alive(int(pid_text))
-        age = max(0.0, time.time() - mtime)
-        return age <= lease_steal_threshold(self.lease_ttl)
+        return leases.fresh(mtime, self.lease_ttl)
 
     def lease_live(self, job_id: str) -> bool:
         """Whether ``job_id``'s dispatch claim belongs to a live server.
 
         A missing lease is not live.
         """
-        lease = self._lease_path(job_id)
-        try:
-            mtime = lease.stat().st_mtime
-        except OSError:
-            return False
-        return self._owner_live(self.lease_owner(job_id) or "", mtime)
-
-    def _tombstone_live(self, path: Path) -> bool:
-        """Whether a just-renamed tombstone holds a live owner's lease.
-
-        Unreadable means a recovery sweep reaped it mid-steal; without
-        evidence the steal is abandoned rather than risked.
-        """
-        try:
-            mtime = path.stat().st_mtime
-            owner = path.read_text().strip()
-        except OSError:
-            return True
-        return self._owner_live(owner, mtime)
+        held = leases.holder(self._lease_path(job_id))
+        return held is not None and self._owner_live(*held)
 
     def release(self, job_id: str) -> None:
         """Drop this store's own dispatch lease (the job went terminal).
@@ -287,12 +214,7 @@ class JobStateStore:
         Owner-checked: a lease stolen mid-run belongs to the thief now
         and stays put.
         """
-        lease = self._lease_path(job_id)
-        try:
-            if lease.read_text().strip() == self.owner:
-                lease.unlink()
-        except OSError:
-            pass
+        leases.release(self._lease_path(job_id), self.owner)
 
     def discard_lease(self, job_id: str) -> None:
         """Unlink ``job_id``'s lease whoever owns it.
@@ -300,7 +222,7 @@ class JobStateStore:
         Only safe once the job's journal is terminal — a terminal
         journal supersedes any dispatch claim, so the file is litter.
         """
-        self._unlink(self._lease_path(job_id))
+        leases.discard(self._lease_path(job_id))
 
     def sweep_stale_leases(self, terminal_ids) -> None:
         """Recovery housekeeping: drop leases of terminal jobs and any
@@ -308,31 +230,19 @@ class JobStateStore:
         examining it, so a long-lived shared state dir does not grow
         one or more lease files per job forever."""
         terminal = set(terminal_ids)
-        threshold = lease_steal_threshold(self.lease_ttl)
-        leases = self.state_dir / "leases"
-        for path in leases.glob("*.lease"):
-            if path.name[: -len(".lease")] in terminal:
-                self._unlink(path)
-        for path in leases.glob("*.lease.stale-*"):
+        lease_dir = self.state_dir / "leases"
+        for path in lease_dir.glob("*.lease"):
+            if path.stem in terminal:
+                leases.discard(path)
+        for path in lease_dir.glob("*.stale-*"):
             try:
-                age = time.time() - path.stat().st_mtime
+                mtime = path.stat().st_mtime
             except OSError:
                 continue
-            if age > threshold:
-                self._unlink(path)
+            if not leases.fresh(mtime, self.lease_ttl):
+                leases.discard(path)
 
     def touch_owned_leases(self) -> None:
         """Heartbeat: refresh the mtime of every lease this store owns."""
         for path in (self.state_dir / "leases").glob("*.lease"):
-            try:
-                if path.read_text().strip() == self.owner:
-                    os.utime(path)
-            except OSError:
-                continue  # stolen or removed mid-scan
-
-    @staticmethod
-    def _unlink(path: Path) -> None:
-        try:
-            path.unlink()
-        except OSError:
-            pass
+            leases.refresh(path, self.owner)

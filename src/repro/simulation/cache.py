@@ -11,9 +11,9 @@ disk, keyed by a content hash of::
 so repeated ``repro sweep`` invocations, and incrementally grown ones
 (``--seeds 8`` after ``--seeds 4``), only compute the seeds they have
 never seen.  The cache is *cross-process* by construction: it is plain
-files, written atomically (temp file + ``os.replace``), so concurrent
-sweeps — or pool workers of different sweeps — can share one directory
-without coordination.
+files, each published with :func:`repro.leases.atomic_write_json`, so
+concurrent sweeps — or pool workers of different sweeps — can share one
+directory without coordination.
 
 Correctness properties:
 
@@ -36,14 +36,13 @@ Correctness properties:
 from __future__ import annotations
 
 import hashlib
-import json
 import os
-import tempfile
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, Optional, Tuple, Union
 
+from repro import leases
 from repro.simulation.results import RateSummary, SeriesResult
 
 Reduced = Union[RateSummary, SeriesResult]
@@ -169,15 +168,11 @@ class SweepCache:
         telemetry for the cost estimator; only the result participates
         in the bit-identity contract.
         """
-        path = self._path(key)
+        payload = leases.read_json(self._path(key))
         try:
-            payload = json.loads(path.read_text())
             result = _payload_to_reduced(payload["result"])
-        except FileNotFoundError:
-            self.stats.misses += 1
-            return None
         except Exception:
-            # Truncated write, bad JSON, wrong shape: recompute rather
+            # Missing, truncated, bad JSON, wrong shape: recompute rather
             # than trust it.  The eventual put() overwrites the file.
             self.stats.misses += 1
             return None
@@ -199,8 +194,6 @@ class SweepCache:
         it rides along as entry metadata so the campaign scheduler can
         estimate sweep costs from what this machine actually measured.
         """
-        path = self._path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
         payload = {
             "result": _reduced_to_payload(result),
             # Metadata: the key is the contract; scenario/seed are debug
@@ -212,19 +205,7 @@ class SweepCache:
         }
         if runtime is not None:
             payload["runtime"] = float(runtime)
-        handle = tempfile.NamedTemporaryFile(
-            "w", dir=path.parent, suffix=".tmp", delete=False
-        )
-        try:
-            with handle:
-                json.dump(payload, handle)
-            os.replace(handle.name, path)
-        except BaseException:
-            try:
-                os.unlink(handle.name)
-            except OSError:
-                pass
-            raise
+        leases.atomic_write_json(self._path(key), payload)
 
 
 # ---------------------------------------------------------------------------
@@ -315,11 +296,7 @@ def _entry_files(root: Path) -> Iterable[Path]:
 
 def _entry_version(path: Path) -> str:
     """The code version recorded in one entry (``unknown`` if absent)."""
-    try:
-        payload = json.loads(path.read_text())
-        version = payload.get("version")
-    except Exception:
-        return UNKNOWN_VERSION
+    version = (leases.read_json(path) or {}).get("version")
     return version if isinstance(version, str) else UNKNOWN_VERSION
 
 

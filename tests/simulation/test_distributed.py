@@ -18,8 +18,9 @@ from repro.simulation import registry
 from repro.simulation.cache import SweepCache
 from repro.simulation.distributed import (
     WorkQueue,
+    QueuedJob,
     default_worker_id,
-    execute_distributed,
+    execute_queued,
     params_signature,
     rehydrate_params,
     worker_loop,
@@ -288,10 +289,10 @@ class TestExecuteDistributed:
     def test_inline_drain_matches_oracle(self, tmp_path):
         spec = registry.get(SCENARIO)
         params = spec.params_key(smoke=True)
-        outcome = execute_distributed(
-            SCENARIO, params, [1, 2, 3], workers=0,
+        outcome = execute_queued(
+            [QueuedJob(SCENARIO, params, (1, 2, 3))], workers=0,
             queue_dir=tmp_path / "q", cache_root=tmp_path / "c",
-        )
+        )[0]
         for seed in (1, 2, 3):
             assert outcome.results[seed] == spec.run(seed, smoke=True)
         assert outcome.tasks == 3
@@ -302,18 +303,18 @@ class TestExecuteDistributed:
     def test_negative_workers_rejected(self, tmp_path):
         spec = registry.get(SCENARIO)
         with pytest.raises(ValueError, match="workers"):
-            execute_distributed(
-                SCENARIO, spec.params_key(smoke=True), [1], workers=-1,
-                queue_dir=tmp_path,
-            )
+            execute_queued(
+                [QueuedJob(SCENARIO, spec.params_key(smoke=True), (1,))],
+                workers=-1, queue_dir=tmp_path,
+            )[0]
 
     def test_bad_lease_ttl_rejected(self, tmp_path):
         spec = registry.get(SCENARIO)
         with pytest.raises(ValueError, match="lease_ttl"):
-            execute_distributed(
-                SCENARIO, spec.params_key(smoke=True), [1], workers=0,
-                queue_dir=tmp_path, lease_ttl=0.0,
-            )
+            execute_queued(
+                [QueuedJob(SCENARIO, spec.params_key(smoke=True), (1,))],
+                workers=0, queue_dir=tmp_path, lease_ttl=0.0,
+            )[0]
 
 
 class TestRunSweepDistributed:

@@ -24,10 +24,10 @@ from pathlib import Path
 
 import pytest
 
+from repro.leases import steal_threshold
 from repro.simulation import registry
 from repro.simulation.distributed import (
     WorkQueue,
-    lease_steal_threshold,
     requeue_quarantined,
     worker_loop,
 )
@@ -240,7 +240,7 @@ class TestBackdatedLease:
         queue = _make_queue(tmp_path, [1, 2], chunk_size=1)
         claim = queue.claim("task-0000", "slightly-behind")
         ttl = 60.0
-        margin = lease_steal_threshold(ttl) - ttl
+        margin = steal_threshold(ttl) - ttl
         assert margin > 0
         past = time.time() - (ttl + margin * 0.5)
         os.utime(claim.lease_path, (past, past))
@@ -248,7 +248,7 @@ class TestBackdatedLease:
         assert queue.claim("task-0000", "thief", lease_ttl=ttl) is None
 
         # Strictly beyond TTL + margin the steal goes through.
-        past = time.time() - (lease_steal_threshold(ttl) + 0.5)
+        past = time.time() - (steal_threshold(ttl) + 0.5)
         os.utime(claim.lease_path, (past, past))
         stolen = queue.claim("task-0000", "thief", lease_ttl=ttl)
         assert stolen is not None and stolen.stolen
