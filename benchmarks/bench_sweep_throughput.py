@@ -35,14 +35,16 @@ Usage::
 """
 
 import argparse
+import dataclasses
 import json
 import sys
 import tempfile
 from pathlib import Path
 
+from repro.api import ExecutionProfile, SweepSpec
 from repro.simulation.cache import code_version
 from repro.simulation.parallel import default_workers
-from repro.simulation.sweep import run_sweep, seed_range
+from repro.simulation.sweep import execute_sweep, seed_range
 
 DEFAULT_SCENARIO = "fig15-environment"
 # Enough seeds that scheduling overhead (what the modes contrast)
@@ -89,27 +91,23 @@ def run_bench(
     # overheads, which exist regardless of how many CPUs back the pool.
     workers = workers or max(4, min(8, default_workers()))
     seed_list = seed_range(seeds)
+    spec = SweepSpec(scenario, seed_list, smoke=smoke)
+    uncached = ExecutionProfile(no_cache=True)
+    pool = ExecutionProfile(workers=workers, no_cache=True)
 
-    sequential = run_sweep(scenario, seed_list, workers=1, smoke=smoke)
-    per_seed = run_sweep(scenario, seed_list, workers=workers,
-                         backend="process", chunk_size=1, smoke=smoke)
-    chunked = run_sweep(scenario, seed_list, workers=workers,
-                        backend="process", smoke=smoke)
+    sequential = execute_sweep(spec, uncached)
+    per_seed = execute_sweep(spec, dataclasses.replace(pool, chunk_size=1))
+    chunked = execute_sweep(spec, pool)
 
     if cache_dir:
-        cache_root = Path(cache_dir)
-        cold = run_sweep(scenario, seed_list, workers=workers,
-                         backend="process", smoke=smoke,
-                         cache_dir=cache_root)
-        warm = run_sweep(scenario, seed_list, workers=workers,
-                         backend="process", smoke=smoke,
-                         cache_dir=cache_root)
+        cached = ExecutionProfile(workers=workers, cache_dir=cache_dir)
+        cold = execute_sweep(spec, cached)
+        warm = execute_sweep(spec, cached)
     else:
         with tempfile.TemporaryDirectory(prefix="bench-sweep-cache-") as tmp:
-            cold = run_sweep(scenario, seed_list, workers=workers,
-                             backend="process", smoke=smoke, cache_dir=tmp)
-            warm = run_sweep(scenario, seed_list, workers=workers,
-                             backend="process", smoke=smoke, cache_dir=tmp)
+            cached = ExecutionProfile(workers=workers, cache_dir=tmp)
+            cold = execute_sweep(spec, cached)
+            warm = execute_sweep(spec, cached)
 
     modes = {
         "sequential": sequential,
@@ -131,14 +129,12 @@ def run_bench(
 
     # Cold/warm on a realistically-priced scenario (fig15 is the
     # cache's worst case by construction).
-    cache_seed_list = seed_range(CACHE_SEEDS)
+    cache_spec = SweepSpec(CACHE_SCENARIO, seed_range(CACHE_SEEDS),
+                           smoke=smoke)
     with tempfile.TemporaryDirectory(prefix="bench-sweep-cache2-") as tmp:
-        cache_cold = run_sweep(CACHE_SCENARIO, cache_seed_list,
-                               workers=workers, backend="process",
-                               smoke=smoke, cache_dir=tmp)
-        cache_warm = run_sweep(CACHE_SCENARIO, cache_seed_list,
-                               workers=workers, backend="process",
-                               smoke=smoke, cache_dir=tmp)
+        cached = ExecutionProfile(workers=workers, cache_dir=tmp)
+        cache_cold = execute_sweep(cache_spec, cached)
+        cache_warm = execute_sweep(cache_spec, cached)
     assert cache_warm.per_seed == cache_cold.per_seed, (
         "warm cache replay diverges from the cold run"
     )
@@ -147,10 +143,12 @@ def run_bench(
 
     # Kernel backends head to head: the same sweep, sequential and
     # uncached on both sides, so the ratio isolates per-seed compute.
-    compute_python = run_sweep(COMPUTE_SCENARIO, seed_list,
-                               workers=1, smoke=smoke)
-    compute_vectorized = run_sweep(
-        COMPUTE_SCENARIO + "-vectorized", seed_list, workers=1, smoke=smoke,
+    compute_python = execute_sweep(
+        SweepSpec(COMPUTE_SCENARIO, seed_list, smoke=smoke), uncached,
+    )
+    compute_vectorized = execute_sweep(
+        SweepSpec(COMPUTE_SCENARIO + "-vectorized", seed_list, smoke=smoke),
+        uncached,
     )
     assert compute_vectorized.per_seed == compute_python.per_seed, (
         "vectorized kernels diverge from the python oracle"

@@ -46,9 +46,9 @@ def main() -> None:
     completed, total = handle.progress()
     print(f"campaign finished: {completed}/{total} sweeps")
 
-    # 4. Collect.  Results are bit-identical to per-scenario run_sweep
-    #    calls; write_exports drops one standard sweep export per spec
-    #    (repeats get #2/#3-suffixed labels).
+    # 4. Collect.  Results are bit-identical to per-scenario
+    #    execute_sweep calls; write_exports drops one standard sweep
+    #    export per spec (repeats get #2/#3-suffixed labels).
     result = handle.result()
     for label, sweep in result.by_label().items():
         timing = sweep.timing

@@ -15,10 +15,9 @@ Describe *what* to run with :class:`SweepSpec`, *how* to run it with
     ])
     campaign.result().write_exports("exports/")
 
-Everything here drives the same engine as ``repro sweep`` and the
-legacy :func:`repro.simulation.sweep.run_sweep` shim, so results are
-bit-identical across all surfaces — profiles change speed and
-placement, never values.
+Everything here drives :func:`repro.simulation.sweep.execute_sweep`,
+the same engine as ``repro sweep``, so results are bit-identical across
+all surfaces — profiles change speed and placement, never values.
 """
 
 from repro.api.client import (

@@ -16,13 +16,13 @@
 
 Execution happens in a background thread per handle, driving the same
 :func:`repro.simulation.sweep.execute_sweep` /
-:func:`~repro.simulation.sweep.execute_campaign` engine as the CLI and
-the legacy ``run_sweep`` shim, so results are bit-identical across all
-three surfaces.  Cancellation is cooperative and honest: a sweep that
-has already started computing runs to completion (pool maps and queue
-drains are not interruptible mid-seed), but a handle cancelled before
-its work starts never computes anything, and a cancelled campaign
-finishes the sweep in flight and skips the rest.  Cancelling a running
+:func:`~repro.simulation.sweep.execute_campaign` engine as the CLI, so
+results are bit-identical across both surfaces.  Cancellation is
+cooperative and honest: a sweep that has already started computing runs
+to completion (pool maps and queue drains are not interruptible
+mid-seed), but a handle cancelled before its work starts never computes
+anything, and a cancelled campaign finishes the sweep in flight and
+skips the rest.  Cancelling a running
 distributed campaign aborts the coordinator between waits and cleans up
 every sweep directory it enqueued — attempt markers, quarantine records
 and all — so a later campaign on the same queue dir starts from a blank

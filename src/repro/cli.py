@@ -47,6 +47,7 @@ from repro.analysis.ascii_chart import ascii_chart
 from repro.analysis.export import rows_to_json, series_to_json
 from repro.analysis.series import LabelledSeries
 from repro.analysis.tables import render_table
+from repro.api.spec import ON_ERROR_MODES, SCHEDULE_MODES
 from repro.core.transitivity import TransitivityMode
 from repro.simulation.config import (
     DelegationConfig,
@@ -226,44 +227,106 @@ def cmd_fig16(args: argparse.Namespace) -> int:
     return 0
 
 
-def _profile_from_sweep_args(args: argparse.Namespace):
-    """The :class:`ExecutionProfile` the ``sweep`` flags describe.
+# One entry per ExecutionProfile field (plus ``distributed``, the
+# shorthand for ``backend="distributed"``): the argparse keywords of its
+# ``--field-name`` flag.  Subcommands pick their subset by field name.
+# Every flag defaults to None, i.e. "not given", so the profile a
+# subcommand starts from supplies the effective default.
+_PROFILE_FLAGS: Dict[str, Dict[str, object]] = {
+    "workers": dict(
+        type=int, metavar="N",
+        help="pool size, 1 = sequential (default); with --distributed, "
+             "local worker daemons (0 = rely on external `repro worker` "
+             "daemons)"),
+    "backend": dict(
+        choices=("process", "thread"),
+        help="pool backend when workers > 1 (default process)"),
+    "distributed": dict(
+        action="store_true",
+        help="run over the shared-directory work queue instead of an "
+             "in-process pool"),
+    "chunk_size": dict(
+        type=int, metavar="N",
+        help="seeds per pool task; default auto-sizes to four task waves "
+             "per worker (results are identical for any value)"),
+    "cache_dir": dict(
+        metavar="DIR",
+        help="persistent result cache location (default: "
+             "$REPRO_CACHE_DIR or ~/.cache/repro/sweeps); cached seeds "
+             "are replayed, only missing seeds are computed"),
+    "no_cache": dict(
+        action="store_true",
+        help="bypass the result cache entirely (no reads, no writes; "
+             "queued results still reach the done markers)"),
+    "queue_dir": dict(
+        metavar="DIR",
+        help="shared work-queue directory for --distributed (default: a "
+             "private temp dir); point external workers at the same "
+             "path to join"),
+    "lease_ttl": dict(
+        type=float, metavar="SECONDS",
+        help="heartbeat age after which a worker's task lease counts as "
+             "dead and may be stolen (default 30; must exceed the "
+             "slowest single-seed runtime)"),
+    "compute": dict(
+        choices=("python", "vectorized"),
+        help="kernel backend for scenarios that support one "
+             "(bit-identical results; 'vectorized' uses the numpy "
+             "kernels and falls back to python where numpy is missing)"),
+    "max_attempts": dict(
+        type=int, metavar="N",
+        help="times a failing seed is tried (with exponential backoff) "
+             "before it is quarantined (default 3; a budget pinned in a "
+             "queued sweep's manifest wins)"),
+    "on_error": dict(
+        choices=ON_ERROR_MODES,
+        help="'raise' fails the sweep on the first exhausted seed; "
+             "'collect' quarantines it, finishes the rest and reports it "
+             "under failed_seeds (default: raise for pools, collect for "
+             "--distributed)"),
+    "schedule": dict(
+        choices=SCHEDULE_MODES,
+        help="queue serving order for --distributed: 'fifo' runs sweeps "
+             "in submission order; 'cost' serves estimated long poles "
+             "first with tail-shrinking chunks (results are "
+             "bit-identical either way)"),
+    "autoscale": dict(
+        action="store_true",
+        help="size the local worker fleet from observed queue depth "
+             "instead of holding a fixed fleet (--distributed only)"),
+    "min_workers": dict(
+        type=int, metavar="N", help="autoscaler floor (default 0)"),
+    "max_workers": dict(
+        type=int, metavar="N",
+        help="autoscaler ceiling (default: --workers)"),
+}
 
-    One deprecated-but-pinned combination survives from the legacy CLI:
-    ``--no-cache`` together with ``--cache-dir`` lets ``--no-cache``
-    win, now with a loud stderr notice instead of silence (the new API
-    rejects the combination outright).
+
+def _add_profile_flags(parser: argparse.ArgumentParser,
+                       *fields: str) -> None:
+    """Add the execution flags of ``fields`` (``_PROFILE_FLAGS`` keys)."""
+    for name in fields:
+        parser.add_argument("--" + name.replace("_", "-"), default=None,
+                            **_PROFILE_FLAGS[name])
+
+
+def _profile_from_args(args: argparse.Namespace, base):
+    """``base`` with every execution flag the command line gave applied.
+
+    ``dataclasses.replace`` re-runs the profile's validation, so a
+    contradictory combination fails with the same message as in a
+    manifest or a library call.
     """
-    from repro.api import ExecutionProfile
-
-    cache_dir = args.cache_dir
-    if args.no_cache and cache_dir is not None:
-        print(
-            "warning: --no-cache overrides --cache-dir (this combination "
-            "is deprecated and rejected by repro.api.ExecutionProfile)",
-            file=sys.stderr,
-        )
-        cache_dir = None
-    return ExecutionProfile(
-        workers=args.workers,
-        backend="distributed" if args.distributed else args.backend,
-        chunk_size=args.chunk_size,
-        cache_dir=cache_dir,
-        no_cache=args.no_cache,
-        queue_dir=args.queue_dir,
-        lease_ttl=args.lease_ttl,
-        compute=args.compute,
-        max_attempts=args.max_attempts,
-        on_error=args.on_error,
-        schedule=args.schedule,
-        autoscale=args.autoscale,
-        min_workers=args.min_workers,
-        max_workers=args.max_workers,
-    )
+    given = {
+        name: getattr(args, name) for name in _PROFILE_FLAGS
+        if getattr(args, name, None) is not None
+    }
+    if given.pop("distributed", None):
+        given["backend"] = "distributed"
+    return dataclasses.replace(base, **given)
 
 
-def _sweep_text(sweep, profile, distributed: bool,
-                queue_dir: Optional[str]) -> str:
+def _sweep_text(sweep, profile) -> str:
     """The human-readable summary of one completed sweep."""
     lines = [f"sweep: {sweep.scenario} ({sweep.kind})"]
     if sweep.kind == "rates":
@@ -297,11 +360,11 @@ def _sweep_text(sweep, profile, distributed: bool,
             f"{sweep.cache_misses} miss(es){errors} "
             f"[{profile.resolved_cache_dir()}]"
         )
-    if distributed:
+    if profile.distributed:
         lines.append(
             f"  queue: {sweep.tasks_total} task(s), "
             f"{sweep.steals} steal(s), {sweep.requeues} requeue(s)"
-            + (f" [{queue_dir}]" if queue_dir else "")
+            + (f" [{profile.queue_dir}]" if profile.queue_dir else "")
         )
     failed = getattr(sweep, "failed_seeds", [])
     if failed:
@@ -353,7 +416,12 @@ def _campaign_payload(result) -> str:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     from repro.analysis.export import sweep_to_json
-    from repro.api import CampaignResult, SweepSpec, campaign_labels
+    from repro.api import (
+        CampaignResult,
+        ExecutionProfile,
+        SweepSpec,
+        campaign_labels,
+    )
     from repro.simulation import registry
     from repro.simulation.sweep import (
         SweepFailureError,
@@ -382,7 +450,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 return 2
 
     try:
-        profile = _profile_from_sweep_args(args)
+        profile = _profile_from_args(args, ExecutionProfile())
         seeds = seed_range(args.seeds, first=args.first_seed)
         # The engine runs on the main thread (not through a Client
         # handle) so Ctrl-C aborts the pool instead of letting a
@@ -410,39 +478,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         print(f"error: {message}", file=sys.stderr)
         return 2
 
-    _emit(args, _sweep_text(sweep, profile, args.distributed,
-                            args.queue_dir),
-          sweep_to_json(sweep))
+    _emit(args, _sweep_text(sweep, profile), sweep_to_json(sweep))
     return 0
-
-
-def _campaign_profile_overrides(args: argparse.Namespace, profile):
-    """Apply ``repro campaign``'s execution flags over the manifest's
-    profile.
-
-    The manifest describes the campaign's default machinery; the flags
-    let one invocation rent a different fleet (more workers, a shared
-    queue dir, cost scheduling, autoscaling) without editing the file.
-    ``dataclasses.replace`` re-runs the profile's validation, so a
-    contradictory combination fails exactly like it would in a
-    manifest.
-    """
-    updates: Dict[str, object] = {}
-    if args.workers is not None:
-        updates["workers"] = args.workers
-    if args.distributed:
-        updates["backend"] = "distributed"
-    if args.queue_dir is not None:
-        updates["queue_dir"] = args.queue_dir
-    if args.schedule is not None:
-        updates["schedule"] = args.schedule
-    if args.autoscale:
-        updates["autoscale"] = True
-    if args.min_workers is not None:
-        updates["min_workers"] = args.min_workers
-    if args.max_workers is not None:
-        updates["max_workers"] = args.max_workers
-    return dataclasses.replace(profile, **updates) if updates else profile
 
 
 def cmd_campaign(args: argparse.Namespace) -> int:
@@ -452,7 +489,7 @@ def cmd_campaign(args: argparse.Namespace) -> int:
         ExecutionProfile,
         load_campaign_manifest,
     )
-    from repro.simulation.sweep import execute_campaign
+    from repro.simulation.sweep import SweepFailureError, execute_campaign
 
     try:
         text = open(args.manifest).read()
@@ -462,14 +499,18 @@ def cmd_campaign(args: argparse.Namespace) -> int:
         return 2
     try:
         manifest = load_campaign_manifest(text)
-        profile = manifest.profile or ExecutionProfile()
-        profile = _campaign_profile_overrides(args, profile)
+        profile = _profile_from_args(
+            args, manifest.profile or ExecutionProfile(),
+        )
         # Main-thread execution (see cmd_sweep) so Ctrl-C aborts.
         result = CampaignResult(
             specs=manifest.specs,
             labels=manifest.labels,
             sweeps=tuple(execute_campaign(manifest.specs, profile)),
         )
+    except SweepFailureError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 1
     except (KeyError, ValueError) as error:
         message = error.args[0] if error.args else str(error)
         print(f"error: {message}", file=sys.stderr)
@@ -613,21 +654,29 @@ def cmd_queue(args: argparse.Namespace) -> int:
 
 def cmd_worker(args: argparse.Namespace) -> int:
     """Long-running worker daemon draining a shared sweep queue dir."""
-    from repro.simulation.cache import default_cache_dir
+    from repro.api import ExecutionProfile
     from repro.simulation.distributed import (
+        DEFAULT_LEASE_TTL,
         default_worker_id,
         worker_loop,
     )
 
+    try:
+        # The worker joins a distributed fleet on this queue dir; its
+        # flags validate exactly like a coordinator's.  (The QUEUE_DIR
+        # positional shares the queue_dir field's name, so applying the
+        # flags sets it to the same value again.)
+        profile = _profile_from_args(args, ExecutionProfile(
+            backend="distributed", workers=0, queue_dir=args.queue_dir,
+        ))
+    except ValueError as error:
+        print(f"error: {error.args[0]}", file=sys.stderr)
+        return 2
     error = _queue_path_error(args.queue_dir)
     if error is not None:
         print(f"error: {error}", file=sys.stderr)
         return 1
 
-    if args.no_cache:
-        cache_dir = None
-    else:
-        cache_dir = args.cache_dir or str(default_cache_dir())
     owner = args.worker_id or default_worker_id()
     mode = "drain" if args.drain else "daemon"
     stop = None
@@ -639,13 +688,16 @@ def cmd_worker(args: argparse.Namespace) -> int:
     try:
         stats = worker_loop(
             args.queue_dir,
-            cache_dir,
+            profile.resolved_cache_dir(),
             owner=owner,
             poll=args.poll,
-            lease_ttl=args.lease_ttl,
+            lease_ttl=(
+                DEFAULT_LEASE_TTL if profile.lease_ttl is None
+                else profile.lease_ttl
+            ),
             drain=args.drain,
             max_tasks=args.max_tasks,
-            max_attempts=args.max_attempts,
+            max_attempts=profile.max_attempts,
             stop=stop,
             _daemon=True,
         )
@@ -686,11 +738,12 @@ def _parse_serve_addr(addr: str) -> tuple:
 
 def cmd_serve(args: argparse.Namespace) -> int:
     """Serve the job API over HTTP until interrupted."""
+    from repro.api import ExecutionProfile
     from repro.service import JobServer
 
     try:
         host, port = _parse_serve_addr(args.addr)
-        profile = _profile_from_sweep_args(args)
+        profile = _profile_from_args(args, ExecutionProfile())
     except ValueError as error:
         message = error.args[0] if error.args else str(error)
         print(f"error: {message}", file=sys.stderr)
@@ -799,27 +852,6 @@ _COMMANDS: Dict[str, Callable[[argparse.Namespace], int]] = {
 }
 
 
-def _add_scheduling_flags(parser: argparse.ArgumentParser) -> None:
-    """The campaign-scheduler flags shared by sweep/campaign/serve."""
-    parser.add_argument("--schedule", choices=("fifo", "cost"),
-                        default=None,
-                        help="queue serving order for --distributed: "
-                             "'fifo' runs sweeps in submission order; "
-                             "'cost' serves estimated long poles first "
-                             "with tail-shrinking chunks (results are "
-                             "bit-identical either way)")
-    parser.add_argument("--autoscale", action="store_true",
-                        help="size the local worker fleet from observed "
-                             "queue depth instead of holding a fixed "
-                             "fleet (--distributed only)")
-    parser.add_argument("--min-workers", type=int, default=None,
-                        metavar="N",
-                        help="autoscaler floor (default 0)")
-    parser.add_argument("--max-workers", type=int, default=None,
-                        metavar="N",
-                        help="autoscaler ceiling (default: --workers)")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -870,61 +902,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="number of seeds to run (default 8)")
     sweep.add_argument("--first-seed", type=int, default=1,
                        help="first seed of the range (default 1)")
-    sweep.add_argument("--workers", type=int, default=1,
-                       help="pool size; 1 = sequential (default)")
-    sweep.add_argument("--backend", choices=("process", "thread"),
-                       default="process",
-                       help="pool backend when workers > 1")
-    sweep.add_argument("--chunk-size", type=int, default=None,
-                       metavar="N",
-                       help="seeds per pool task; default auto-sizes to "
-                            "four task waves per worker (results are "
-                            "identical for any value)")
-    sweep.add_argument("--cache-dir", metavar="DIR", default=None,
-                       help="persistent result cache location (default: "
-                            "$REPRO_CACHE_DIR or ~/.cache/repro/sweeps); "
-                            "cached seeds are replayed, only missing "
-                            "seeds are computed")
-    sweep.add_argument("--no-cache", action="store_true",
-                       help="bypass the result cache entirely (no reads, "
-                            "no writes)")
     sweep.add_argument("--smoke", action="store_true",
                        help="use the scenario's scaled-down smoke "
                             "parameters (CI-sized)")
-    sweep.add_argument("--distributed", action="store_true",
-                       help="run over the shared-directory work queue "
-                            "instead of an in-process pool; --workers "
-                            "local daemons are spawned (0 = rely on "
-                            "external `repro worker` daemons)")
-    sweep.add_argument("--queue-dir", metavar="DIR", default=None,
-                       help="shared work-queue directory for "
-                            "--distributed (default: a private temp "
-                            "dir); point external workers at the same "
-                            "path to join the sweep")
-    sweep.add_argument("--lease-ttl", type=float, default=None,
-                       metavar="SECONDS",
-                       help="heartbeat age after which a worker's task "
-                            "lease may be stolen (default 30; must "
-                            "exceed the slowest single-seed runtime)")
-    sweep.add_argument("--compute", choices=("python", "vectorized"),
-                       default=None,
-                       help="kernel backend for scenarios that support "
-                            "one (bit-identical results; 'vectorized' "
-                            "uses the numpy kernels and falls back to "
-                            "python where numpy is missing)")
-    sweep.add_argument("--max-attempts", type=int, default=None,
-                       metavar="N",
-                       help="times a failing seed is retried (with "
-                            "exponential backoff) before it is given up "
-                            "on (default 3)")
-    sweep.add_argument("--on-error", choices=("raise", "collect"),
-                       default=None,
-                       help="'raise' fails the sweep on the first "
-                            "exhausted seed; 'collect' quarantines it, "
-                            "finishes the rest and reports it under "
-                            "failed_seeds (default: raise for pools, "
-                            "collect for --distributed)")
-    _add_scheduling_flags(sweep)
+    _add_profile_flags(sweep, *_PROFILE_FLAGS)
     sweep.add_argument("--json", metavar="PATH", default=None,
                        help="also write the sweep export to PATH")
 
@@ -948,41 +929,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="jobs executed concurrently; submissions "
                             "beyond this wait as 'queued' (default 1 — "
                             "one fleet, strict submission order)")
-    serve.add_argument("--workers", type=int, default=1,
-                       help="pool size per job; 1 = sequential "
-                            "(default)")
-    serve.add_argument("--backend", choices=("process", "thread"),
-                       default="process",
-                       help="pool backend when workers > 1")
-    serve.add_argument("--chunk-size", type=int, default=None,
-                       metavar="N", help="seeds per pool task")
-    serve.add_argument("--cache-dir", metavar="DIR", default=None,
-                       help="persistent result cache location (default: "
-                            "$REPRO_CACHE_DIR or ~/.cache/repro/sweeps)")
-    serve.add_argument("--no-cache", action="store_true",
-                       help="bypass the result cache entirely")
-    serve.add_argument("--distributed", action="store_true",
-                       help="execute jobs over the shared-directory "
-                            "work queue instead of an in-process pool")
-    serve.add_argument("--queue-dir", metavar="DIR", default=None,
-                       help="shared work-queue directory for "
-                            "--distributed; point `repro worker` "
-                            "daemons at the same path")
-    serve.add_argument("--lease-ttl", type=float, default=None,
-                       metavar="SECONDS",
-                       help="stale-lease steal threshold (default 30)")
-    serve.add_argument("--compute", choices=("python", "vectorized"),
-                       default=None,
-                       help="kernel backend override (bit-identical "
-                            "results)")
-    serve.add_argument("--max-attempts", type=int, default=None,
-                       metavar="N",
-                       help="per-seed retry budget before quarantine")
-    serve.add_argument("--on-error", choices=("raise", "collect"),
-                       default=None,
-                       help="exhausted-seed policy (default: raise for "
-                            "pools, collect for --distributed)")
-    _add_scheduling_flags(serve)
+    _add_profile_flags(serve, *_PROFILE_FLAGS)
     serve.add_argument("--verbose", action="store_true",
                        help="log every HTTP request to stderr")
 
@@ -993,29 +940,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     worker.add_argument("queue_dir", metavar="QUEUE_DIR",
                         help="the shared work-queue directory to serve")
-    worker.add_argument("--cache-dir", metavar="DIR", default=None,
-                        help="persistent result cache location (default: "
-                             "$REPRO_CACHE_DIR or ~/.cache/repro/sweeps)")
-    worker.add_argument("--no-cache", action="store_true",
-                        help="do not read or write the result cache; "
-                             "results still reach the done markers")
+    _add_profile_flags(worker, "cache_dir", "no_cache", "lease_ttl",
+                       "max_attempts")
     worker.add_argument("--drain", action="store_true",
                         help="exit once nothing is claimable instead of "
                              "polling forever")
     worker.add_argument("--poll", type=float, default=0.5,
                         metavar="SECONDS",
                         help="idle poll interval (default 0.5)")
-    worker.add_argument("--lease-ttl", type=float, default=30.0,
-                        metavar="SECONDS",
-                        help="age after which another worker's lease "
-                             "counts as dead and is stolen (default 30)")
     worker.add_argument("--max-tasks", type=int, default=None, metavar="N",
                         help="exit after completing N tasks")
-    worker.add_argument("--max-attempts", type=int, default=None,
-                        metavar="N",
-                        help="per-seed attempt budget before quarantine "
-                             "(default 3; a budget pinned in the sweep "
-                             "manifest wins)")
     worker.add_argument("--worker-id", default=None, metavar="ID",
                         help="lease owner id (default: host-pid)")
     worker.add_argument("--stop-file", metavar="PATH", default=None,
@@ -1045,23 +979,17 @@ def build_parser() -> argparse.ArgumentParser:
         "campaign",
         help="run a manifest of sweeps as one campaign and collect "
              "per-scenario exports (JSON manifest: sweeps[] of "
-             "SweepSpec payloads + optional profile)",
+             "SweepSpec payloads + optional profile, which the "
+             "execution flags override)",
     )
     campaign.add_argument("manifest", metavar="MANIFEST",
                           help="path to the campaign manifest JSON")
     campaign.add_argument("--out-dir", metavar="DIR", default=None,
                           help="write one standard sweep export per "
                                "sweep (<label>.json) under DIR")
-    campaign.add_argument("--workers", type=int, default=None,
-                          help="override the manifest profile's worker "
-                               "count")
-    campaign.add_argument("--distributed", action="store_true",
-                          help="override the manifest profile to the "
-                               "shared-work-queue backend")
-    campaign.add_argument("--queue-dir", metavar="DIR", default=None,
-                          help="override the manifest profile's queue "
-                               "directory")
-    _add_scheduling_flags(campaign)
+    _add_profile_flags(campaign, "workers", "distributed", "queue_dir",
+                       "schedule", "autoscale", "min_workers",
+                       "max_workers")
     campaign.add_argument("--json", metavar="PATH", default=None,
                           help="also write the combined "
                                "{label: sweep export} object to PATH")

@@ -51,7 +51,7 @@ from repro.simulation.runner import (
 )
 from repro.simulation.cache import CacheStats, SweepCache, default_cache_dir
 from repro.simulation.distributed import WorkQueue, worker_loop
-from repro.simulation.sweep import SweepResult, run_sweep, seed_range
+from repro.simulation.sweep import SweepResult, seed_range
 from repro.simulation.scenario import Scenario, build_scenario
 from repro.simulation.selfdelegation import (
     SelfDelegationResult,
@@ -92,7 +92,6 @@ __all__ = [
     "combine_rates",
     "combine_series",
     "default_cache_dir",
-    "run_sweep",
     "seed_range",
     "worker_loop",
 ]

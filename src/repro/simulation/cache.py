@@ -112,8 +112,8 @@ class CacheStats:
 class SweepCache:
     """File-per-result cache of reduced per-seed sweep outputs.
 
-    One instance tracks its own :class:`CacheStats`; ``run_sweep``
-    creates one per invocation so the export can report this sweep's
+    One instance tracks its own :class:`CacheStats`; ``execute_sweep``
+    creates one per sweep so the export can report this sweep's
     hits and misses, not the directory's lifetime totals.
     """
 

@@ -47,7 +47,7 @@ Crash recovery, concretely:
   worker (or the coordinator) rewrites the task file from it
   atomically (counted as a *requeue* via a content-keyed marker, so
   concurrent repairers do not double-count);
-* **every worker dead** — the coordinating ``run_sweep`` notices the
+* **every worker dead** — the coordinating ``execute_sweep`` notices the
   queue stalling and drains the remaining tasks inline, so a
   distributed sweep always terminates with the oracle's results;
 * **poison seed** — a seed whose scenario *raises* is caught at the

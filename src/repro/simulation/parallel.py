@@ -37,8 +37,9 @@ Backends:
 
 ``workers <= 1`` always runs sequentially in-process (the fallback and
 the oracle).  An ``initializer`` (with ``initargs``) runs once per pool
-worker before any task — the hook :func:`repro.simulation.sweep.run_sweep`
-uses to materialize the scenario arena once per process.
+worker before any task — the hook
+:func:`repro.simulation.sweep.execute_sweep` uses to materialize the
+scenario arena once per process.
 
 Worker supervision (process backend): a pool worker dying — OOM-killed,
 segfaulted, SIGKILLed — breaks the whole :class:`ProcessPoolExecutor`

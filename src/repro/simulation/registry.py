@@ -22,8 +22,8 @@ equivalence suite all run exactly the same code:
 Arenas live in a **per-process store** keyed by ``(scenario, params)``:
 the first seed a worker executes builds the arena, every later seed in
 that worker reuses it, and :func:`warm_arena` is the pool initializer
-:func:`repro.simulation.sweep.run_sweep` installs so the build happens
-before the first task rather than inside it.  A scenario whose run
+:func:`repro.simulation.sweep.execute_sweep` installs so the build
+happens before the first task rather than inside it.  A scenario whose run
 mutates the shared state it was built from sets ``reusable=False`` and
 gets a fresh arena per seed instead.
 

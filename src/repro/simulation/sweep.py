@@ -1,11 +1,11 @@
 """Multi-seed sweep execution, driven by :class:`repro.api.SweepSpec`.
 
-:func:`execute_sweep` is the engine behind the public API
-(:class:`repro.api.Client`), the ``repro sweep`` CLI and the legacy
-:func:`run_sweep` shim: it takes one :class:`~repro.api.spec.SweepSpec`
-(*what* to run) plus one :class:`~repro.api.spec.ExecutionProfile`
-(*how* to run it), consults the persistent result cache
-(:mod:`repro.simulation.cache`) for seeds already computed, fans the
+:func:`execute_sweep` is the one sweep entry point, behind the public
+API (:class:`repro.api.Client`) and the ``repro sweep`` CLI alike: it
+takes one :class:`~repro.api.spec.SweepSpec` (*what* to run) plus one
+:class:`~repro.api.spec.ExecutionProfile` (*how* to run it), consults
+the persistent result cache (:mod:`repro.simulation.cache`) for seeds
+already computed, fans the
 *missing* seeds out — over a :class:`~repro.simulation.parallel.ParallelRunner`
 pool or the shared-directory work queue
 (:mod:`repro.simulation.distributed`) — and packages the per-seed
@@ -27,14 +27,6 @@ seed batching, per-worker scenario arenas, the persistent result cache,
 and ``backend="distributed"`` work-queue execution with stale-lease
 stealing.  See :class:`~repro.api.spec.ExecutionProfile` for the knob
 descriptions.
-
-:func:`run_sweep` remains as a compatibility shim over the same engine.
-Its raw execution kwargs are deprecated; they map onto
-:class:`~repro.api.spec.ExecutionProfile` fields of the same name
-(``workers``, ``backend``, ``chunk_size``, ``cache_dir``, ``queue_dir``,
-``lease_ttl`` — with ``cache_dir=None`` meaning ``no_cache=True``, the
-one semantic difference: the profile defaults to the shared cache, the
-shim defaults to no cache).
 """
 
 from __future__ import annotations
@@ -43,7 +35,6 @@ import time
 import warnings
 from dataclasses import dataclass, field
 from functools import partial
-from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.api.spec import ExecutionProfile, SweepSpec
@@ -591,81 +582,3 @@ def _execute_campaign_distributed(
         results[id(plan)] if id(plan) in results else _assemble(plan, None)
         for plan in plans
     ]
-
-
-# ---------------------------------------------------------------------------
-# the compatibility shim
-# ---------------------------------------------------------------------------
-
-# Raw-execution-kwargs deprecation: warned at most once per process.
-_DEPRECATION_WARNED = False
-
-
-def _warn_deprecated_kwargs() -> None:
-    global _DEPRECATION_WARNED
-    if _DEPRECATION_WARNED:
-        return
-    _DEPRECATION_WARNED = True
-    warnings.warn(
-        "passing raw execution kwargs to run_sweep() is deprecated; "
-        "describe the work with repro.api.SweepSpec and the machinery "
-        "with repro.api.ExecutionProfile, then use "
-        "repro.api.Client.submit(). The kwargs map one-to-one: workers, "
-        "backend, chunk_size, queue_dir and lease_ttl keep their names; "
-        "cache_dir=<dir> becomes ExecutionProfile(cache_dir=<dir>) and "
-        "cache_dir=None becomes ExecutionProfile(no_cache=True).",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def run_sweep(
-    scenario: str,
-    seeds: Sequence[int],
-    workers: int = 1,
-    backend: str = "process",
-    smoke: bool = False,
-    overrides: Optional[Dict[str, object]] = None,
-    chunk_size: Optional[int] = None,
-    cache_dir: Optional[Union[str, Path]] = None,
-    queue_dir: Optional[Union[str, Path]] = None,
-    lease_ttl: Optional[float] = None,
-) -> SweepResult:
-    """Run ``scenario`` once per seed and aggregate (compatibility shim).
-
-    Every call builds a :class:`~repro.api.spec.SweepSpec` and an
-    :class:`~repro.api.spec.ExecutionProfile` and hands them to
-    :func:`execute_sweep` — the shim exists so the accumulated callers
-    of the kwargs signature keep working bit-identically.  New code
-    should construct the spec/profile pair directly (or use
-    :class:`repro.api.Client`); passing any execution kwarg here emits a
-    one-time :class:`DeprecationWarning` with the field mapping.
-
-    Legacy semantics preserved exactly: ``cache_dir=None`` disables
-    caching entirely (no reads, no writes), and
-    ``backend="distributed"`` with ``workers=0`` and no ``queue_dir``
-    still drains inline in the coordinator (the new API requires an
-    explicit queue dir for that combination, since nobody else could
-    ever join a private temp dir).
-    """
-    if (workers != 1 or backend != "process" or chunk_size is not None
-            or cache_dir is not None or queue_dir is not None
-            or lease_ttl is not None):
-        _warn_deprecated_kwargs()
-    spec = SweepSpec(
-        scenario, seeds, smoke=smoke, overrides=overrides or {}
-    )
-    # The shared validator in legacy mode: the one combination the new
-    # API rejects but old callers relied on (distributed + workers=0 +
-    # private temp queue dir) stays allowed here.  Legacy cache
-    # semantics: cache_dir=None always meant "no cache at all".
-    profile = ExecutionProfile._legacy(
-        workers=workers,
-        backend=backend,
-        chunk_size=chunk_size,
-        cache_dir=cache_dir,
-        no_cache=cache_dir is None,
-        queue_dir=queue_dir,
-        lease_ttl=lease_ttl,
-    )
-    return execute_sweep(spec, profile)

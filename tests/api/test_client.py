@@ -3,7 +3,7 @@
 The headline assertion (the PR's acceptance criterion) lives in
 ``TestCampaignEquivalence``: a campaign over **every registered
 scenario** produces per-scenario results bit-identical to individual
-``run_sweep`` calls — ``==`` on the dataclasses, no tolerance.
+``execute_sweep`` calls — ``==`` on the dataclasses, no tolerance.
 """
 
 import threading
@@ -20,14 +20,17 @@ from repro.api import (
 )
 from repro.simulation import registry
 from repro.simulation import sweep as sweep_module
-from repro.simulation.sweep import run_sweep
+from repro.simulation.sweep import execute_sweep
 
 SEEDS = [1, 2]
 _FAST = ExecutionProfile(no_cache=True)
 
 
 def _oracle(name, seeds=SEEDS):
-    return run_sweep(name, seeds, workers=1, smoke=True)
+    return execute_sweep(
+        SweepSpec(name, seeds, smoke=True),
+        ExecutionProfile(workers=1, no_cache=True),
+    )
 
 
 class TestSubmit:
@@ -287,10 +290,10 @@ class TestCampaigns:
 
 
 class TestCampaignEquivalence:
-    def test_campaign_over_all_scenarios_matches_run_sweep(self):
+    def test_campaign_over_all_scenarios_matches_single_sweeps(self):
         """The acceptance criterion: submit_campaign() over every
         registered scenario is bit-identical, per scenario, to the
-        sequential per-scenario run_sweep() oracle."""
+        sequential per-scenario execute_sweep() oracle."""
         specs = [
             SweepSpec(name, SEEDS, smoke=True)
             for name in registry.names()

@@ -8,10 +8,11 @@ from pathlib import Path
 import pytest
 
 from repro.analysis.export import load_sweep
+from repro.api import ExecutionProfile, SweepSpec
 from repro.cli import main
 from repro.simulation import registry
 from repro.simulation.distributed import WorkQueue
-from repro.simulation.sweep import run_sweep, seed_range
+from repro.simulation.sweep import execute_sweep, seed_range
 
 SCENARIO = "fig15-environment"
 
@@ -34,7 +35,10 @@ class TestSweepAllScenarios:
         payload = json.loads(out_json.read_text())
         assert set(payload) == set(registry.names())
         # Spot-check one export against the oracle, bit for bit.
-        oracle = run_sweep(SCENARIO, seed_range(2), workers=1, smoke=True)
+        oracle = execute_sweep(
+            SweepSpec(SCENARIO, seed_range(2), smoke=True),
+            ExecutionProfile(workers=1, no_cache=True),
+        )
         assert payload[SCENARIO]["mean"]["values"] == oracle.mean.values
 
     def test_scenario_and_all_scenarios_conflict(self, capsys):
@@ -52,13 +56,15 @@ class TestSweepAllScenarios:
         ]) == 2
         assert "queue_dir" in capsys.readouterr().err
 
-    def test_no_cache_with_cache_dir_warns_loudly(self, capsys, tmp_path):
+    def test_no_cache_with_cache_dir_is_rejected(self, capsys, tmp_path):
         assert main([
             "sweep", SCENARIO, "--seeds", "2", "--smoke",
             "--no-cache", "--cache-dir", str(tmp_path / "never"),
-        ]) == 0
+        ]) == 2
         captured = capsys.readouterr()
-        assert "--no-cache overrides --cache-dir" in captured.err
+        assert "error: no_cache conflicts with an explicit cache_dir" in (
+            captured.err
+        )
         assert not (tmp_path / "never").exists()
 
 
@@ -88,7 +94,10 @@ class TestCampaignCli:
         for name, seeds in ((SCENARIO, [1, 2]),
                             ("fig7-mutuality", [1, 2])):
             payload = load_sweep((out_dir / f"{name}.json").read_text())
-            oracle = run_sweep(name, seeds, workers=1, smoke=True)
+            oracle = execute_sweep(
+                SweepSpec(name, seeds, smoke=True),
+                ExecutionProfile(workers=1, no_cache=True),
+            )
             assert payload["mean"] == oracle.mean.to_payload()
             assert payload["spec"]["scenario"] == name
 

@@ -3,8 +3,9 @@
 import pytest
 
 from repro.analysis.export import load_sweep
+from repro.api import ExecutionProfile, SweepSpec
 from repro.cli import main
-from repro.simulation.sweep import run_sweep, seed_range
+from repro.simulation.sweep import execute_sweep, seed_range
 
 
 class TestSweepCli:
@@ -63,9 +64,9 @@ class TestSweepCli:
         assert payload["scenario"] == "fig15-environment"
         assert payload["seeds"] == [5, 6, 7]
 
-        library = run_sweep(
-            "fig15-environment", seed_range(3, first=5), workers=1,
-            smoke=True,
+        library = execute_sweep(
+            SweepSpec("fig15-environment", seed_range(3, first=5), smoke=True),
+            ExecutionProfile(workers=1, no_cache=True),
         )
         assert payload["mean"]["values"] == library.mean.values
         assert payload["timing"]["wall_seconds"] > 0.0
@@ -113,11 +114,13 @@ class TestSweepCacheCli:
     def test_no_cache_bypasses_and_hides_cache_line(self, capsys, tmp_path):
         assert main([
             "sweep", "fig15-environment", "--seeds", "2", "--smoke",
-            "--no-cache", "--cache-dir", str(tmp_path / "never"),
+            "--no-cache",
         ]) == 0
         out = capsys.readouterr().out
         assert "cache:" not in out
-        assert not (tmp_path / "never").exists()
+        # conftest points the default cache here; --no-cache never
+        # creates it.
+        assert not (tmp_path / "sweep-cache").exists()
 
     def test_json_export_carries_cache_counts(self, capsys, tmp_path):
         path = tmp_path / "sweep.json"

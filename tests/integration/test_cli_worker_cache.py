@@ -6,12 +6,13 @@ import json
 import pytest
 
 from repro.analysis.export import load_sweep
+from repro.api import ExecutionProfile, SweepSpec
 from repro.cli import main
 from repro.simulation import registry
 from repro.simulation.cache import SweepCache
 from repro.simulation.distributed import WorkQueue
 from repro.simulation.results import RateSummary
-from repro.simulation.sweep import run_sweep, seed_range
+from repro.simulation.sweep import execute_sweep, seed_range
 
 SCENARIO = "fig15-environment"
 
@@ -56,14 +57,16 @@ class TestWorkerCli:
 
     def test_worker_results_replay_into_a_sweep(self, tmp_path):
         """Seeds computed by a CLI worker are cache hits for the next
-        ``run_sweep`` over the same scenario."""
+        ``execute_sweep`` over the same scenario."""
         _stage_queue(tmp_path / "q", seeds=(1, 2))
         assert main([
             "worker", str(tmp_path / "q"), "--drain",
             "--cache-dir", str(tmp_path / "c"),
         ]) == 0
-        sweep = run_sweep(SCENARIO, seed_range(2), smoke=True,
-                          cache_dir=tmp_path / "c")
+        sweep = execute_sweep(
+            SweepSpec(SCENARIO, seed_range(2), smoke=True),
+            ExecutionProfile(cache_dir=tmp_path / "c"),
+        )
         assert sweep.cache_hits == 2
         assert sweep.cache_misses == 0
 
@@ -88,7 +91,10 @@ class TestSweepDistributedCli:
         assert payload["distributed"]["tasks"] == 3
 
     def test_distributed_matches_plain_sweep_bitwise(self, tmp_path):
-        plain = run_sweep(SCENARIO, seed_range(3), workers=1, smoke=True)
+        plain = execute_sweep(
+            SweepSpec(SCENARIO, seed_range(3), smoke=True),
+            ExecutionProfile(workers=1, no_cache=True),
+        )
         assert main([
             "sweep", SCENARIO, "--seeds", "3", "--smoke",
             "--distributed", "--workers", "2", "--no-cache",
@@ -203,6 +209,36 @@ class TestFaultToleranceCli:
         err = capsys.readouterr().err
         assert "error:" in err and "seed" in err
 
+    def test_campaign_losing_every_seed_exits_like_sweep(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps({
+            "sweeps": [{"scenario": SCENARIO, "seeds": [2],
+                        "smoke": True}],
+            "profile": {"no_cache": True, "max_attempts": 1,
+                        "on_error": "collect"},
+        }))
+        monkeypatch.setenv("REPRO_WORKER_FAULT", "raise:2")
+        assert main(["campaign", str(manifest)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: sweep")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--lease-ttl", "-1"], "lease_ttl must be positive"),
+        (["--lease-ttl", "0"], "lease_ttl must be positive"),
+        (["--max-attempts", "0"], "max_attempts must be at least 1"),
+    ])
+    def test_worker_rejects_out_of_range_flags(
+        self, tmp_path, capsys, flags, message
+    ):
+        _stage_queue(tmp_path / "q", seeds=(1,))
+        assert main([
+            "worker", str(tmp_path / "q"), "--drain", "--no-cache", *flags,
+        ]) == 2
+        assert message in capsys.readouterr().err
+
 
 class TestCacheCli:
     def _put(self, root, seed, version=None):
@@ -258,8 +294,10 @@ class TestCacheCli:
     def test_cache_respects_env_default(self, tmp_path, monkeypatch,
                                         capsys):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "env-cache"))
-        run_sweep(SCENARIO, seed_range(2), smoke=True,
-                  cache_dir=tmp_path / "env-cache")
+        execute_sweep(
+            SweepSpec(SCENARIO, seed_range(2), smoke=True),
+            ExecutionProfile(cache_dir=tmp_path / "env-cache"),
+        )
         assert main(["cache", "stats"]) == 0
         out = capsys.readouterr().out
         assert "entries: 2" in out

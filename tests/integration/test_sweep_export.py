@@ -5,8 +5,9 @@ import json
 import pytest
 
 from repro.analysis.export import load_sweep, sweep_to_json, sweep_to_payload
+from repro.api import ExecutionProfile, SweepSpec
 from repro.simulation.sweep import (
-    run_sweep,
+    execute_sweep,
     seed_range,
     sweep_result_from_payload,
 )
@@ -14,14 +15,17 @@ from repro.simulation.sweep import (
 
 @pytest.fixture(scope="module")
 def rates_sweep():
-    return run_sweep("fig7-mutuality", seed_range(3), workers=1, smoke=True)
+    return execute_sweep(
+        SweepSpec("fig7-mutuality", seed_range(3), smoke=True),
+        ExecutionProfile(workers=1, no_cache=True),
+    )
 
 
 @pytest.fixture(scope="module")
 def series_sweep():
-    return run_sweep(
-        "fig15-environment", seed_range(3), workers=2, backend="thread",
-        smoke=True,
+    return execute_sweep(
+        SweepSpec("fig15-environment", seed_range(3), smoke=True),
+        ExecutionProfile(workers=2, backend="thread", no_cache=True),
     )
 
 
@@ -60,9 +64,12 @@ class TestRoundTrip:
             "tasks": 0, "steals": 0, "requeues": 0,
         }
         # ...while a distributed sweep exports its task count.
-        sweep = run_sweep(
-            "fig15-environment", seed_range(3), workers=0,
-            backend="distributed", smoke=True, queue_dir=tmp_path,
+        sweep = execute_sweep(
+            SweepSpec("fig15-environment", seed_range(3), smoke=True),
+            ExecutionProfile(
+                workers=0, backend="distributed", no_cache=True,
+                queue_dir=tmp_path,
+            ),
         )
         distributed = load_sweep(sweep_to_json(sweep))["distributed"]
         assert distributed["tasks"] == 3
@@ -205,4 +212,59 @@ class TestValidation:
         payload = sweep_to_payload(rates_sweep)
         payload["distributed"] = {"tasks": 1}
         with pytest.raises(ValueError, match="steals/requeues"):
+            load_sweep(json.dumps(payload))
+
+
+class TestLoadSweepSpecCompat:
+    def test_new_exports_carry_the_spec_block(self):
+        sweep = execute_sweep(
+            SweepSpec("fig15-environment", [1, 2], smoke=True),
+            ExecutionProfile(no_cache=True),
+        )
+        payload = load_sweep(sweep_to_json(sweep))
+        assert payload["spec"] == {
+            "scenario": "fig15-environment",
+            "seeds": [1, 2],
+            "smoke": True,
+            "overrides": {},
+        }
+        # The spec block round-trips into a validated SweepSpec.
+        assert SweepSpec.from_payload(payload["spec"]) == SweepSpec(
+            "fig15-environment", [1, 2], smoke=True
+        )
+
+    def test_pre_spec_artifacts_default_to_null(self):
+        """A pre-PR-5 export (no spec block) still loads."""
+        sweep = execute_sweep(
+            SweepSpec("fig15-environment", [1], smoke=True),
+            ExecutionProfile(no_cache=True),
+        )
+        payload = json.loads(sweep_to_json(sweep))
+        del payload["spec"]
+        loaded = load_sweep(json.dumps(payload))
+        assert loaded["spec"] is None
+        assert loaded["mean"]["values"] == sweep.mean.values
+
+    def test_pre_cache_era_artifact_still_loads(self):
+        """The oldest shape: no spec, no cache, no distributed block."""
+        sweep = execute_sweep(
+            SweepSpec("fig15-environment", [1], smoke=True),
+            ExecutionProfile(no_cache=True),
+        )
+        payload = json.loads(sweep_to_json(sweep))
+        for key in ("spec", "cache", "distributed"):
+            del payload[key]
+        loaded = load_sweep(json.dumps(payload))
+        assert loaded["spec"] is None
+        assert loaded["cache"]["enabled"] is False
+        assert loaded["distributed"]["tasks"] == 0
+
+    def test_malformed_spec_block_rejected(self):
+        sweep = execute_sweep(
+            SweepSpec("fig15-environment", [1], smoke=True),
+            ExecutionProfile(no_cache=True),
+        )
+        payload = json.loads(sweep_to_json(sweep))
+        payload["spec"] = [1, 2]
+        with pytest.raises(ValueError, match="spec block"):
             load_sweep(json.dumps(payload))

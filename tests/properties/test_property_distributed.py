@@ -18,6 +18,7 @@ import threading
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.api import ExecutionProfile, SweepSpec
 from repro.simulation import registry
 from repro.simulation.cache import SweepCache
 from repro.simulation.distributed import (
@@ -26,7 +27,7 @@ from repro.simulation.distributed import (
     rehydrate_params,
 )
 from repro.simulation.runner import average_series
-from repro.simulation.sweep import run_sweep
+from repro.simulation.sweep import execute_sweep
 
 # JSON-native parameter values, as scenario defaults/overrides are.
 _SCALARS = st.one_of(
@@ -99,10 +100,13 @@ class TestPartitionInvariance:
         seeds = list(range(1, seed_count + 1))
         spec = registry.get("fig15-environment")
         oracle = average_series(spec.bound(smoke=True), seeds)
-        sweep = run_sweep(
-            "fig15-environment", seeds, workers=0, backend="distributed",
-            smoke=True, chunk_size=chunk_size,
-            queue_dir=tmp_path / f"q-{seed_count}-{chunk_size}",
+        sweep = execute_sweep(
+            SweepSpec("fig15-environment", seeds, smoke=True),
+            ExecutionProfile(
+                workers=0, backend="distributed", chunk_size=chunk_size,
+                no_cache=True,
+                queue_dir=tmp_path / f"q-{seed_count}-{chunk_size}",
+            ),
         )
         assert sweep.mean == oracle
         assert sweep.seeds == seeds

@@ -18,9 +18,10 @@ from pathlib import Path
 
 import pytest
 
+from repro.api import ExecutionProfile, SweepSpec
 from repro.simulation.cache import SweepCache, default_cache_dir
 from repro.simulation.results import SeriesResult
-from repro.simulation.sweep import run_sweep
+from repro.simulation.sweep import execute_sweep
 
 WRITERS = 4
 WRITES_PER_PROCESS = 25
@@ -102,15 +103,19 @@ class TestCacheDirIsolationForIotScenarios:
         assert default_cache_dir() == isolated
 
         seeds = [1, 2]
-        cold = run_sweep(scenario, seeds, smoke=True,
-                         cache_dir=default_cache_dir())
+        cold = execute_sweep(
+            SweepSpec(scenario, seeds, smoke=True),
+            ExecutionProfile(cache_dir=default_cache_dir()),
+        )
         assert cold.cache_misses == len(seeds)
         entries = list(isolated.rglob("*.json"))
         assert len(entries) == len(seeds)
         assert list(elsewhere.rglob("*")) == []
 
-        warm = run_sweep(scenario, seeds, smoke=True,
-                         cache_dir=default_cache_dir())
+        warm = execute_sweep(
+            SweepSpec(scenario, seeds, smoke=True),
+            ExecutionProfile(cache_dir=default_cache_dir()),
+        )
         assert warm.cache_hits == len(seeds)
         assert warm.per_seed == cold.per_seed
         assert warm.mean == cold.mean
@@ -118,11 +123,15 @@ class TestCacheDirIsolationForIotScenarios:
     def test_sync_and_async_scenarios_cache_separately(self, tmp_path):
         """Same figure, different backend -> different cache keys; a
         warm async sweep never replays sync entries (or vice versa)."""
-        sync = run_sweep("fig14-activetime", [1], smoke=True,
-                         cache_dir=tmp_path)
+        sync = execute_sweep(
+            SweepSpec("fig14-activetime", [1], smoke=True),
+            ExecutionProfile(cache_dir=tmp_path),
+        )
         assert sync.cache_misses == 1
-        crossed = run_sweep("fig14-activetime-async", [1], smoke=True,
-                            cache_dir=tmp_path)
+        crossed = execute_sweep(
+            SweepSpec("fig14-activetime-async", [1], smoke=True),
+            ExecutionProfile(cache_dir=tmp_path),
+        )
         assert crossed.cache_misses == 1  # not served by the sync entry
         assert crossed.cache_hits == 0
         # ...even though the reduced values are bit-identical.

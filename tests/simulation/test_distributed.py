@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.api import ExecutionProfile, SweepSpec
 from repro.simulation import registry
 from repro.simulation.cache import SweepCache
 from repro.simulation.distributed import (
@@ -25,7 +26,7 @@ from repro.simulation.distributed import (
     rehydrate_params,
     worker_loop,
 )
-from repro.simulation.sweep import run_sweep, seed_range
+from repro.simulation.sweep import execute_sweep, seed_range
 
 SCENARIO = "fig15-environment"
 
@@ -317,13 +318,19 @@ class TestExecuteDistributed:
             )[0]
 
 
-class TestRunSweepDistributed:
+class TestSweepDistributed:
     def test_local_workers_bit_identical_with_counters(self, tmp_path):
         seeds = seed_range(4)
-        sequential = run_sweep(SCENARIO, seeds, workers=1, smoke=True)
-        distributed = run_sweep(
-            SCENARIO, seeds, workers=2, backend="distributed", smoke=True,
-            queue_dir=tmp_path / "q", cache_dir=tmp_path / "c",
+        sequential = execute_sweep(
+            SweepSpec(SCENARIO, seeds, smoke=True),
+            ExecutionProfile(workers=1, no_cache=True),
+        )
+        distributed = execute_sweep(
+            SweepSpec(SCENARIO, seeds, smoke=True),
+            ExecutionProfile(
+                workers=2, backend="distributed", cache_dir=tmp_path / "c",
+                queue_dir=tmp_path / "q",
+            ),
         )
         assert distributed.per_seed == sequential.per_seed
         assert distributed.mean == sequential.mean
@@ -336,13 +343,19 @@ class TestRunSweepDistributed:
 
     def test_warm_cache_skips_the_queue_entirely(self, tmp_path):
         seeds = seed_range(3)
-        cold = run_sweep(
-            SCENARIO, seeds, workers=0, backend="distributed", smoke=True,
-            queue_dir=tmp_path / "q", cache_dir=tmp_path / "c",
+        cold = execute_sweep(
+            SweepSpec(SCENARIO, seeds, smoke=True),
+            ExecutionProfile(
+                workers=0, backend="distributed", cache_dir=tmp_path / "c",
+                queue_dir=tmp_path / "q",
+            ),
         )
-        warm = run_sweep(
-            SCENARIO, seeds, workers=0, backend="distributed", smoke=True,
-            queue_dir=tmp_path / "q", cache_dir=tmp_path / "c",
+        warm = execute_sweep(
+            SweepSpec(SCENARIO, seeds, smoke=True),
+            ExecutionProfile(
+                workers=0, backend="distributed", cache_dir=tmp_path / "c",
+                queue_dir=tmp_path / "q",
+            ),
         )
         assert warm.cache_hits == len(seeds)
         assert warm.tasks_total == 0  # nothing was enqueued
@@ -367,12 +380,16 @@ class TestRunSweepDistributed:
         thread = threading.Thread(target=external)
         thread.start()
         try:
-            sequential = run_sweep(
-                SCENARIO, seed_range(4), workers=1, smoke=True
+            sequential = execute_sweep(
+                SweepSpec(SCENARIO, seed_range(4), smoke=True),
+                ExecutionProfile(workers=1, no_cache=True),
             )
-            distributed = run_sweep(
-                SCENARIO, seed_range(4), workers=0, backend="distributed",
-                smoke=True, queue_dir=queue_dir, cache_dir=tmp_path / "c",
+            distributed = execute_sweep(
+                SweepSpec(SCENARIO, seed_range(4), smoke=True),
+                ExecutionProfile(
+                    workers=0, backend="distributed", cache_dir=tmp_path / "c",
+                    queue_dir=queue_dir,
+                ),
             )
         finally:
             done.set()
@@ -383,25 +400,48 @@ class TestRunSweepDistributed:
 
     def test_queue_dir_kwargs_rejected_for_pool_backends(self):
         with pytest.raises(ValueError, match="distributed"):
-            run_sweep(SCENARIO, [1], workers=1, backend="process",
-                      smoke=True, queue_dir="/tmp/nope")
+            execute_sweep(
+                SweepSpec(SCENARIO, [1], smoke=True),
+                ExecutionProfile(
+                    workers=1, backend="process", no_cache=True,
+                    queue_dir="/tmp/nope",
+                ),
+            )
         with pytest.raises(ValueError, match="distributed"):
-            run_sweep(SCENARIO, [1], workers=1, backend="thread",
-                      smoke=True, lease_ttl=5.0)
+            execute_sweep(
+                SweepSpec(SCENARIO, [1], smoke=True),
+                ExecutionProfile(
+                    workers=1, backend="thread", no_cache=True, lease_ttl=5.0,
+                ),
+            )
 
     def test_negative_workers_rejected(self):
         with pytest.raises(ValueError, match="workers"):
-            run_sweep(SCENARIO, [1], workers=-1, backend="distributed",
-                      smoke=True)
+            execute_sweep(
+                SweepSpec(SCENARIO, [1], smoke=True),
+                ExecutionProfile(
+                    workers=-1, backend="distributed", no_cache=True,
+                ),
+            )
 
     def test_bad_lease_ttl_rejected_even_on_warm_cache(self, tmp_path):
         """Validation must not depend on cache state: an all-hits
         replay rejects a bad lease_ttl exactly like a cold run."""
-        run_sweep(SCENARIO, [1], workers=0, backend="distributed",
-                  smoke=True, cache_dir=tmp_path)
+        execute_sweep(
+            SweepSpec(SCENARIO, [1], smoke=True),
+            ExecutionProfile(
+                workers=0, backend="distributed", cache_dir=tmp_path,
+                queue_dir=tmp_path / "q",
+            ),
+        )
         with pytest.raises(ValueError, match="lease_ttl"):
-            run_sweep(SCENARIO, [1], workers=0, backend="distributed",
-                      smoke=True, cache_dir=tmp_path, lease_ttl=-1.0)
+            execute_sweep(
+                SweepSpec(SCENARIO, [1], smoke=True),
+                ExecutionProfile(
+                    workers=0, backend="distributed", cache_dir=tmp_path,
+                    queue_dir=tmp_path / "q", lease_ttl=-1.0,
+                ),
+            )
 
 
 class TestWorkerIdentity:

@@ -24,6 +24,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.api import ExecutionProfile, SweepSpec
 from repro.leases import steal_threshold
 from repro.simulation import registry
 from repro.simulation.distributed import (
@@ -32,7 +33,7 @@ from repro.simulation.distributed import (
     worker_loop,
 )
 from repro.simulation.faults import DEFAULT_MAX_ATTEMPTS
-from repro.simulation.sweep import run_sweep, seed_range
+from repro.simulation.sweep import execute_sweep, seed_range
 
 SCENARIO = "fig15-environment"
 # Generous bound for one killed-and-stolen smoke chunk on a loaded CI box.
@@ -103,19 +104,25 @@ class TestSigkillMidChunk:
         # replays it instead of recomputing.
         assert totals.cache_hits >= 1
 
-    def test_end_to_end_run_sweep_with_killed_worker(self, tmp_path):
+    def test_end_to_end_sweep_with_killed_worker(self, tmp_path):
         """The acceptance criterion: >=2 workers, one SIGKILLed
-        mid-chunk, and ``run_sweep`` still returns the oracle's bits
+        mid-chunk, and ``execute_sweep`` still returns the oracle's bits
         with the steal visible in the counters."""
         seeds = seed_range(6)
-        sequential = run_sweep(SCENARIO, seeds, workers=1, smoke=True)
+        sequential = execute_sweep(
+            SweepSpec(SCENARIO, seeds, smoke=True),
+            ExecutionProfile(workers=1, no_cache=True),
+        )
 
         os.environ["REPRO_WORKER_FAULT"] = "sigkill:3"
         try:
-            distributed = run_sweep(
-                SCENARIO, seeds, workers=2, backend="distributed",
-                smoke=True, queue_dir=tmp_path / "q",
-                cache_dir=tmp_path / "c", lease_ttl=0.5, chunk_size=2,
+            distributed = execute_sweep(
+                SweepSpec(SCENARIO, seeds, smoke=True),
+                ExecutionProfile(
+                    workers=2, backend="distributed", chunk_size=2,
+                    cache_dir=tmp_path / "c", queue_dir=tmp_path / "q",
+                    lease_ttl=0.5,
+                ),
             )
         finally:
             del os.environ["REPRO_WORKER_FAULT"]
@@ -133,14 +140,20 @@ class TestSigkillMidChunk:
         seeds = seed_range(4)
         os.environ["REPRO_WORKER_FAULT"] = "sigkill:1"
         try:
-            distributed = run_sweep(
-                SCENARIO, seeds, workers=2, backend="distributed",
-                smoke=True, queue_dir=tmp_path / "q",
-                cache_dir=tmp_path / "c", lease_ttl=0.5, chunk_size=1,
+            distributed = execute_sweep(
+                SweepSpec(SCENARIO, seeds, smoke=True),
+                ExecutionProfile(
+                    workers=2, backend="distributed", chunk_size=1,
+                    cache_dir=tmp_path / "c", queue_dir=tmp_path / "q",
+                    lease_ttl=0.5,
+                ),
             )
         finally:
             del os.environ["REPRO_WORKER_FAULT"]
-        sequential = run_sweep(SCENARIO, seeds, workers=1, smoke=True)
+        sequential = execute_sweep(
+            SweepSpec(SCENARIO, seeds, smoke=True),
+            ExecutionProfile(workers=1, no_cache=True),
+        )
         assert distributed.per_seed == sequential.per_seed
         assert distributed.steals == 1  # one death, one reclaim
 
@@ -401,13 +414,18 @@ class TestPoisonSeedQuarantine:
         bit-identical to the sequential oracle."""
         seeds = seed_range(5)
         healthy = [seed for seed in seeds if seed != 3]
-        sequential = run_sweep(SCENARIO, healthy, workers=1, smoke=True)
+        sequential = execute_sweep(
+            SweepSpec(SCENARIO, healthy, smoke=True),
+            ExecutionProfile(workers=1, no_cache=True),
+        )
 
         monkeypatch.setenv("REPRO_WORKER_FAULT", "raise:3")
-        distributed = run_sweep(
-            SCENARIO, seeds, workers=2, backend="distributed",
-            smoke=True, queue_dir=tmp_path / "q",
-            cache_dir=tmp_path / "c", chunk_size=2,
+        distributed = execute_sweep(
+            SweepSpec(SCENARIO, seeds, smoke=True),
+            ExecutionProfile(
+                workers=2, backend="distributed", chunk_size=2,
+                cache_dir=tmp_path / "c", queue_dir=tmp_path / "q",
+            ),
         )
         assert distributed.seeds == list(healthy)
         assert distributed.per_seed == sequential.per_seed
@@ -528,16 +546,22 @@ class TestCoordinatorOfLastResort:
         """All local daemons dead: the coordinator notices the stall
         and drains inline — a distributed sweep always terminates."""
         seeds = seed_range(3)
-        sequential = run_sweep(SCENARIO, seeds, workers=1, smoke=True)
+        sequential = execute_sweep(
+            SweepSpec(SCENARIO, seeds, smoke=True),
+            ExecutionProfile(workers=1, no_cache=True),
+        )
         # Every worker that picks up seed 1's task dies... but the
         # exactly-once flag means only the first daemon dies; with one
         # worker the coordinator must finish the job itself.
         os.environ["REPRO_WORKER_FAULT"] = "sigkill:1"
         try:
-            distributed = run_sweep(
-                SCENARIO, seeds, workers=1, backend="distributed",
-                smoke=True, queue_dir=tmp_path / "q",
-                cache_dir=tmp_path / "c", lease_ttl=0.5, chunk_size=3,
+            distributed = execute_sweep(
+                SweepSpec(SCENARIO, seeds, smoke=True),
+                ExecutionProfile(
+                    workers=1, backend="distributed", chunk_size=3,
+                    cache_dir=tmp_path / "c", queue_dir=tmp_path / "q",
+                    lease_ttl=0.5,
+                ),
             )
         finally:
             del os.environ["REPRO_WORKER_FAULT"]

@@ -15,10 +15,15 @@ import time
 
 import pytest
 
+from repro.api import ExecutionProfile, SweepSpec
 from repro.simulation import registry
 from repro.simulation.parallel import ParallelRunner
 from repro.simulation.runner import average_rates, average_series
-from repro.simulation.sweep import run_sweep, seed_range
+from repro.simulation.sweep import (
+    execute_campaign,
+    execute_sweep,
+    seed_range,
+)
 
 SEEDS = [11, 12, 13]
 
@@ -79,10 +84,12 @@ class TestEveryScenario:
         worker daemons, for every registered scenario."""
         spec = registry.get(name)
         sequential = _sequential_average(spec, SEEDS)
-        sweep = run_sweep(
-            name, SEEDS, workers=workers, backend="distributed",
-            smoke=True, queue_dir=tmp_path / "queue",
-            cache_dir=tmp_path / "cache",
+        sweep = execute_sweep(
+            SweepSpec(name, SEEDS, smoke=True),
+            ExecutionProfile(
+                workers=workers, backend="distributed",
+                cache_dir=tmp_path / "cache", queue_dir=tmp_path / "queue",
+            ),
         )
         assert sweep.mean == sequential
         assert sweep.timing.backend == "distributed"
@@ -94,10 +101,14 @@ class TestEveryScenario:
 
     def test_warm_cache_rerun_identical(self, name, tmp_path):
         spec = registry.get(name)
-        cold = run_sweep(name, SEEDS, workers=1, smoke=True,
-                         cache_dir=tmp_path)
-        warm = run_sweep(name, SEEDS, workers=1, smoke=True,
-                         cache_dir=tmp_path)
+        cold = execute_sweep(
+            SweepSpec(name, SEEDS, smoke=True),
+            ExecutionProfile(workers=1, cache_dir=tmp_path),
+        )
+        warm = execute_sweep(
+            SweepSpec(name, SEEDS, smoke=True),
+            ExecutionProfile(workers=1, cache_dir=tmp_path),
+        )
         assert warm.cache_hits == len(SEEDS)
         assert warm.per_seed == cold.per_seed
         assert warm.variance == cold.variance
@@ -110,10 +121,14 @@ class TestProcessPool:
 
     def test_eight_seeds_four_workers_identical(self):
         seeds = seed_range(8)
-        sequential = run_sweep("fig15-environment", seeds, workers=1,
-                               smoke=True)
-        parallel = run_sweep("fig15-environment", seeds, workers=4,
-                             backend="process", smoke=True)
+        sequential = execute_sweep(
+            SweepSpec("fig15-environment", seeds, smoke=True),
+            ExecutionProfile(workers=1, no_cache=True),
+        )
+        parallel = execute_sweep(
+            SweepSpec("fig15-environment", seeds, smoke=True),
+            ExecutionProfile(workers=4, backend="process", no_cache=True),
+        )
         assert parallel.per_seed == sequential.per_seed
         assert parallel.mean == sequential.mean
         assert parallel.variance == sequential.variance
@@ -131,11 +146,17 @@ class TestProcessPool:
     @pytest.mark.parametrize("chunk_size", [2, 3])
     def test_chunked_process_pool_identical(self, chunk_size):
         seeds = seed_range(8)
-        sequential = run_sweep("fig15-environment", seeds, workers=1,
-                               smoke=True)
-        chunked = run_sweep("fig15-environment", seeds, workers=4,
-                            backend="process", smoke=True,
-                            chunk_size=chunk_size)
+        sequential = execute_sweep(
+            SweepSpec("fig15-environment", seeds, smoke=True),
+            ExecutionProfile(workers=1, no_cache=True),
+        )
+        chunked = execute_sweep(
+            SweepSpec("fig15-environment", seeds, smoke=True),
+            ExecutionProfile(
+                workers=4, backend="process", chunk_size=chunk_size,
+                no_cache=True,
+            ),
+        )
         assert chunked.per_seed == sequential.per_seed
         assert chunked.mean == sequential.mean
         assert chunked.timing.chunk_size == chunk_size
@@ -152,9 +173,6 @@ class TestCostSchedule:
     def test_cost_schedule_identical_to_sequential(
         self, autoscale, tmp_path
     ):
-        from repro.api import ExecutionProfile, SweepSpec
-        from repro.simulation.sweep import execute_sweep
-
         spec = registry.get("fig7-mutuality")
         sequential = _sequential_average(spec, SEEDS)
         profile = ExecutionProfile(
@@ -174,9 +192,6 @@ class TestCostSchedule:
     def test_cost_campaign_identical_per_sweep(self, tmp_path):
         """A mixed-cost campaign under cost scheduling + autoscaling:
         every sweep's mean matches its own sequential oracle."""
-        from repro.api import ExecutionProfile, SweepSpec
-        from repro.simulation.sweep import execute_campaign
-
         names = ["fig15-environment", "fig7-mutuality", "fig8-inference"]
         profile = ExecutionProfile(
             workers=2, backend="distributed",
@@ -213,12 +228,16 @@ def test_parallel_measurably_faster_on_multicore():
     overrides = {"iterations": 400, "network": "twitter"}
 
     start = time.perf_counter()
-    sequential = run_sweep("fig13-delegation", seeds, workers=1, smoke=True,
-                           overrides=overrides)
+    sequential = execute_sweep(
+        SweepSpec("fig13-delegation", seeds, smoke=True, overrides=overrides),
+        ExecutionProfile(workers=1, no_cache=True),
+    )
     sequential_wall = time.perf_counter() - start
 
-    parallel = run_sweep("fig13-delegation", seeds, workers=4,
-                         backend="process", smoke=True, overrides=overrides)
+    parallel = execute_sweep(
+        SweepSpec("fig13-delegation", seeds, smoke=True, overrides=overrides),
+        ExecutionProfile(workers=4, backend="process", no_cache=True),
+    )
 
     assert parallel.mean == sequential.mean
     assert parallel.timing.wall_seconds < sequential_wall / 1.3
