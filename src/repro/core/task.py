@@ -79,6 +79,8 @@ class Task:
         object.__setattr__(
             self, "weights", tuple(sorted(weight_map.items()))
         )
+        # Not a field: eq, hash and repr see only the three above.
+        object.__setattr__(self, "_weight_lookup", dict(self.weights))
 
     @property
     def weight_map(self) -> Dict[Characteristic, float]:
@@ -87,7 +89,7 @@ class Task:
 
     def weight_of(self, characteristic: Characteristic) -> float:
         """Weight ``w_i(tau)`` of one characteristic (0 if absent)."""
-        return self.weight_map.get(characteristic, 0.0)
+        return self._weight_lookup.get(characteristic, 0.0)
 
     def is_subset_of(self, others: Iterable["Task"]) -> bool:
         """True when every characteristic appears in the union of ``others``.

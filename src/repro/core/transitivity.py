@@ -205,12 +205,15 @@ class TrustTransitivity:
         (Fig. 12).
         """
         results: List[PathAssessment] = []
-        stack: List[Tuple[NodeId, Tuple[NodeId, ...], Tuple[float, ...]]] = [
-            (trustor, (trustor,), ())
+        # Each entry carries the path's chain trust so far (the left fold
+        # of Eq. 7 that combine_chain computes) and whether every hop so
+        # far clears ω1, so an extension costs one combine, not a refold.
+        stack: List[Tuple[NodeId, Tuple[NodeId, ...], float, bool]] = [
+            (trustor, (trustor,), 1.0, True)
         ]
         while stack:
-            node, path, hops = stack.pop()
-            if len(hops) >= self.max_depth:
+            node, path, chain, hops_recommend_ok = stack.pop()
+            if len(path) > self.max_depth:
                 continue
             for neighbor in self.knowledge.neighbors(node):
                 if neighbor in path:
@@ -227,27 +230,25 @@ class TrustTransitivity:
                 if hop_trust is None:
                     continue
                 new_path = path + (neighbor,)
-                new_hops = hops + (hop_trust,)
                 # Every completed path (>= 1 hop) is a candidate ending at
                 # `neighbor` as the executing trustee; the same node also
-                # stays on the stack as a potential recommender.
-                intermediate_ok = all(
-                    hop >= self.omega_recommend for hop in new_hops[:-1]
-                )
-                final_ok = new_hops[-1] >= self.omega_execute
-                trust = combine_chain(new_hops)
+                # stays on the stack as a potential recommender.  Its
+                # earlier hops are the intermediate ones the ω1 gate sees.
+                admitted = hops_recommend_ok and hop_trust >= self.omega_execute
+                trust = combine_two_sided(chain, hop_trust)
                 results.append(
                     PathAssessment(
                         path=new_path,
-                        trust=TrustValue(trust, direct=len(new_hops) == 1),
+                        trust=TrustValue(trust, direct=len(new_path) == 2),
                         characteristics=required,
-                        admitted=intermediate_ok and final_ok,
-                        reason=""
-                        if intermediate_ok and final_ok
-                        else "omega gate failed",
+                        admitted=admitted,
+                        reason="" if admitted else "omega gate failed",
                     )
                 )
-                stack.append((neighbor, new_path, new_hops))
+                stack.append((
+                    neighbor, new_path, trust,
+                    hops_recommend_ok and hop_trust >= self.omega_recommend,
+                ))
         return results
 
     # ------------------------------------------------------------------

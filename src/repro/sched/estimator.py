@@ -1,7 +1,7 @@
 """Per-sweep cost estimation from runtime telemetry and priors.
 
 A campaign is a list of sweeps with wildly different per-seed costs
-(``table1-connectivity`` runs ~200x longer than ``fig8-inference``).
+(``table1-connectivity`` runs ~20x longer than ``fig8-inference``).
 To order the queue long-pole-first the planner needs a cost number per
 sweep *before* anything runs.  Three sources, best first:
 
@@ -29,16 +29,16 @@ Params = Tuple[Tuple[str, object], ...]
 
 # Seconds per seed by scenario family (the name up to the first "-"),
 # measured on the smoke configurations of the reference machine.  The
-# absolute numbers drift with hardware; the ~200x spread between
+# absolute numbers drift with hardware; the ~100x spread between
 # families is structural (population size x rounds x estimator math),
 # which is all long-pole ordering needs.
 _FAMILY_PRIORS: Dict[str, float] = {
-    "table1": 0.23,
+    "table1": 0.037,
     "table2": 0.11,
     "fig7": 0.015,
     "fig8": 0.002,
-    "fig9": 0.12,
-    "fig12": 0.15,
+    "fig9": 0.10,
+    "fig12": 0.11,
     "fig13": 0.08,
     "fig14": 0.04,
     "fig15": 0.001,

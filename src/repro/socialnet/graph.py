@@ -110,11 +110,11 @@ class SocialGraph:
     # derived views
     # ------------------------------------------------------------------
     def subgraph(self, nodes: Iterable[NodeId]) -> "SocialGraph":
-        """Induced subgraph on ``nodes``."""
+        """Induced subgraph on ``nodes``, in this graph's node order."""
         keep = set(nodes)
         sub = SocialGraph(name=f"{self.name}-sub")
-        for node in keep:
-            if node in self._adjacency:
+        for node in self._adjacency:
+            if node in keep:
                 sub.add_node(node)
         for u, v in self.edges():
             if u in keep and v in keep:
@@ -122,13 +122,18 @@ class SocialGraph:
         return sub
 
     def largest_component(self) -> "SocialGraph":
-        """Induced subgraph on the largest connected component."""
+        """Induced subgraph on the largest connected component.
+
+        Components are found in node insertion order, so of several
+        equally large ones the first wins, whatever the hash seed.
+        """
         best: Set[NodeId] = set()
-        unvisited = set(self._adjacency)
-        while unvisited:
-            start = next(iter(unvisited))
+        visited: Set[NodeId] = set()
+        for start in self._adjacency:
+            if start in visited:
+                continue
             component = self._bfs_component(start)
-            unvisited -= component
+            visited |= component
             if len(component) > len(best):
                 best = component
         return self.subgraph(best)

@@ -8,9 +8,8 @@ count for the Table 1 bench.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 from repro.core.ids import NodeId
 from repro.socialnet.graph import SocialGraph
@@ -23,51 +22,56 @@ def average_degree(graph: SocialGraph) -> float:
     return 2.0 * graph.edge_count / graph.node_count
 
 
-def _bfs_distances(graph: SocialGraph, source: NodeId) -> Dict[NodeId, int]:
-    """Unweighted shortest-path distances from ``source``."""
-    distances = {source: 0}
-    queue = deque([source])
-    while queue:
-        node = queue.popleft()
-        base = distances[node]
-        for neighbor in graph.neighbors(node):
-            if neighbor not in distances:
-                distances[neighbor] = base + 1
-                queue.append(neighbor)
-    return distances
+def _new_pairs_per_round(graph: SocialGraph) -> List[int]:
+    """All-sources BFS over the largest component, on int bitsets.
+
+    Nodes get an int index once; ``reach[v]`` is a bitset over those
+    indices.  After round k, ``reach[v]`` holds every node within k hops
+    of v, grown from its neighbors' balls of round k - 1.  Returns, for
+    each round that still grew some ball, the number of ordered pairs
+    first reached in it: entry k - 1 counts the pairs at distance k.
+    """
+    component = graph if graph.is_connected() else graph.largest_component()
+    nodes = component.nodes()
+    index = {node: i for i, node in enumerate(nodes)}
+    adjacency = [
+        [index[neighbor] for neighbor in component.neighbors(node)]
+        for node in nodes
+    ]
+    reach = [1 << i for i in range(len(nodes))]
+    reached = len(nodes)
+    new_pairs: List[int] = []
+    while True:
+        grown = []
+        for v, ball in enumerate(reach):
+            for u in adjacency[v]:
+                ball |= reach[u]
+            grown.append(ball)
+        reach = grown
+        total = sum(ball.bit_count() for ball in reach)
+        if total == reached:
+            return new_pairs
+        new_pairs.append(total - reached)
+        reached = total
 
 
 def diameter(graph: SocialGraph) -> int:
     """Largest shortest-path distance within the largest component.
 
     The paper's sub-networks are connected; for robustness we measure the
-    largest component when they are not.
+    largest component when they are not.  It is the number of BFS rounds
+    that still reach a new pair.
     """
-    component = graph if graph.is_connected() else graph.largest_component()
-    if component.node_count <= 1:
-        return 0
-    best = 0
-    for node in component.nodes():
-        eccentricity = max(_bfs_distances(component, node).values())
-        if eccentricity > best:
-            best = eccentricity
-    return best
+    return len(_new_pairs_per_round(graph))
 
 
 def average_path_length(graph: SocialGraph) -> float:
     """Mean shortest-path length over node pairs of the largest component."""
-    component = graph if graph.is_connected() else graph.largest_component()
-    n = component.node_count
-    if n <= 1:
-        return 0.0
-    total = 0
-    pairs = 0
-    for node in component.nodes():
-        distances = _bfs_distances(component, node)
-        total += sum(distances.values())
-        pairs += len(distances) - 1  # exclude the zero self-distance
+    new_pairs = _new_pairs_per_round(graph)
+    pairs = sum(new_pairs)
     if pairs == 0:
         return 0.0
+    total = sum(k * count for k, count in enumerate(new_pairs, start=1))
     return total / pairs
 
 

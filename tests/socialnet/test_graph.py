@@ -1,8 +1,26 @@
 """Tests for the SocialGraph container."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.socialnet.graph import SocialGraph
+
+# A 4-node path and a 4-node star: two equally large components with
+# different diameters (3 and 2), the path inserted first.
+_TIE_SCRIPT = """
+from repro.socialnet.graph import SocialGraph
+from repro.socialnet.metrics import average_path_length, diameter
+g = SocialGraph.from_edges([
+    ("a1", "a2"), ("a2", "a3"), ("a3", "a4"),
+    ("b0", "b1"), ("b0", "b2"), ("b0", "b3"),
+])
+print(diameter(g), repr(average_path_length(g)), g.largest_component().nodes())
+"""
 
 
 class TestConstruction:
@@ -91,6 +109,35 @@ class TestComponents:
         g = SocialGraph.from_edges([(0, 1), (1, 2), (5, 6)])
         component = g.largest_component()
         assert set(component.nodes()) == {0, 1, 2}
+
+    def test_largest_component_tie_goes_to_first_inserted(self):
+        g = SocialGraph.from_edges([(5, 6), (0, 1), (2, 3)])
+        assert g.largest_component().nodes() == [5, 6]
+
+    def test_largest_component_tie_is_independent_of_hash_seed(self):
+        # String hashes vary with PYTHONHASHSEED; under seed 3 a walk
+        # over the nodes in set order meets the star first.
+        src = str(Path(repro.__file__).resolve().parents[1])
+        outputs = []
+        for hash_seed in ("0", "3"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+            env["PYTHONPATH"] = os.pathsep.join(
+                [src] + env.get("PYTHONPATH", "").split(os.pathsep)
+            )
+            done = subprocess.run(
+                [sys.executable, "-c", _TIE_SCRIPT],
+                env=env, capture_output=True, text=True, timeout=60,
+            )
+            assert done.returncode == 0, done.stderr
+            outputs.append(done.stdout)
+        assert outputs[0] == outputs[1]
+        assert outputs[0] == (
+            "3 1.6666666666666667 ['a1', 'a2', 'a3', 'a4']\n"
+        )
+
+    def test_subgraph_keeps_parent_node_order(self):
+        g = SocialGraph.from_edges([(5, 1), (1, 3), (3, 9)])
+        assert g.subgraph([3, 9, 5, 1]).nodes() == [5, 1, 3, 9]
 
     def test_subgraph_induces_edges(self, triangle):
         sub = triangle.subgraph([0, 1])
