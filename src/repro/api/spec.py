@@ -35,6 +35,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
+from repro.core.ids import COMPUTE_BACKENDS
+
 # NOTE: repro.simulation is imported lazily inside the functions that
 # need it.  repro.simulation.sweep imports this module (its engine runs
 # off SweepSpec/ExecutionProfile), so a module-level import here would
@@ -136,7 +138,7 @@ def validate_execution(
             "no_cache conflicts with an explicit cache_dir: drop one "
             "(no_cache disables all cache reads and writes)"
         )
-    if compute is not None and compute not in ("python", "vectorized"):
+    if compute is not None and compute not in COMPUTE_BACKENDS:
         raise ValueError(
             f"compute must be 'python' or 'vectorized', got {compute!r}"
         )

@@ -47,7 +47,7 @@ from repro.analysis.ascii_chart import ascii_chart
 from repro.analysis.export import rows_to_json, series_to_json
 from repro.analysis.series import LabelledSeries
 from repro.analysis.tables import render_table
-from repro.api.spec import ON_ERROR_MODES, SCHEDULE_MODES
+from repro.api.spec import COMPUTE_BACKENDS, ON_ERROR_MODES, SCHEDULE_MODES
 from repro.core.transitivity import TransitivityMode
 from repro.simulation.config import (
     DelegationConfig,
@@ -269,7 +269,7 @@ _PROFILE_FLAGS: Dict[str, Dict[str, object]] = {
              "dead and may be stolen (default 30; must exceed the "
              "slowest single-seed runtime)"),
     "compute": dict(
-        choices=("python", "vectorized"),
+        choices=COMPUTE_BACKENDS,
         help="kernel backend for scenarios that support one "
              "(bit-identical results; 'vectorized' uses the numpy "
              "kernels and falls back to python where numpy is missing)"),

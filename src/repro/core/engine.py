@@ -24,7 +24,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from repro.core.agent import TrusteeAgent, TrustorAgent
 from repro.core.environment import EnvironmentAwareUpdater, EnvironmentReading
 from repro.core.evaluation import ReverseEvaluator
-from repro.core.ids import NodeId
+from repro.core.ids import NodeId, resolve_compute
 from repro.core.inference import CharacteristicInferrer, InferenceError
 from repro.core.policy import NetProfitPolicy, SelectionPolicy
 from repro.core.records import DelegationRecord, OutcomeFactors, UsageRecord
@@ -155,8 +155,6 @@ class DelegationEngine:
     )
 
     def __post_init__(self) -> None:
-        from repro.core.kernels import resolve_compute
-
         self.compute = resolve_compute(self.compute)
 
     def _cache_for(self, trustor: TrustorAgent) -> _StoreCache:

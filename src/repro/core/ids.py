@@ -43,3 +43,27 @@ def validate_non_negative(value: float, name: str = "value") -> float:
     if value < 0.0 or value != value:  # NaN check via self-inequality
         raise ValueError(f"{name} must be non-negative, got {value!r}")
     return value
+
+
+COMPUTE_BACKENDS = ("python", "vectorized")
+
+
+def resolve_compute(compute: str) -> str:
+    """Validate a compute-backend name; numpy-less hosts fall back.
+
+    ``"vectorized"`` silently degrades to ``"python"`` when numpy is
+    unavailable — the python kernels are the oracle, so the results are
+    identical either way (that is the whole contract); only the speed
+    differs.  Only ``"vectorized"`` imports :mod:`repro.core.kernels`
+    (and through it numpy): a python-compute seed never pays for it.
+    """
+    if compute not in COMPUTE_BACKENDS:
+        raise ValueError(
+            f"compute must be 'python' or 'vectorized', got {compute!r}"
+        )
+    if compute == "vectorized":
+        from repro.core.kernels import HAVE_NUMPY
+
+        if not HAVE_NUMPY:
+            return "python"
+    return compute

@@ -29,6 +29,12 @@ make that achievable:
 Everything degrades gracefully: without numpy installed ``HAVE_NUMPY``
 is ``False`` and every caller falls back to the python kernels, which
 *are* the oracle.
+
+numpy is imported only on the vectorized path.  This module imports it
+at load time, so nothing on the python path imports this module:
+:func:`~repro.core.ids.resolve_compute` (re-exported here) validates a
+backend name without it and loads this module only for
+``"vectorized"``, and a ``compute="python"`` seed never loads numpy.
 """
 
 from __future__ import annotations
@@ -46,7 +52,7 @@ except ImportError:  # pragma: no cover - exercised on numpy-less installs
     _np = None
     HAVE_NUMPY = False
 
-from repro.core.ids import validate_probability
+from repro.core.ids import resolve_compute, validate_probability
 from repro.core.policy import (
     GainOnlyPolicy,
     NetProfitPolicy,
@@ -313,20 +319,3 @@ def traditional_chain_columns(hops):
     for column in range(hops.shape[1]):
         result = result * hops[:, column]
     return result
-
-
-def resolve_compute(compute: str) -> str:
-    """Validate a compute-backend name; numpy-less hosts fall back.
-
-    ``"vectorized"`` silently degrades to ``"python"`` when numpy is
-    unavailable — the python kernels are the oracle, so the results are
-    identical either way (that is the whole contract); only the speed
-    differs.
-    """
-    if compute not in ("python", "vectorized"):
-        raise ValueError(
-            f"compute must be 'python' or 'vectorized', got {compute!r}"
-        )
-    if compute == "vectorized" and not HAVE_NUMPY:
-        return "python"
-    return compute

@@ -208,6 +208,14 @@ class FleetSupervisor:
         self._workers = survivors
         return len(survivors)
 
+    def sentinels(self) -> List[int]:
+        """Wait handles of the running workers; each turns ready when
+        its worker exits (see ``multiprocessing.connection.wait``)."""
+        return [
+            process.sentinel for process, _ in self._workers
+            if process.is_alive()
+        ]
+
     def observe(self, sample: QueueSample) -> ScaleDecision:
         """One autoscaler tick: decide, act, log."""
         current = self.alive()

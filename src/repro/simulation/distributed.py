@@ -89,7 +89,9 @@ import warnings
 from dataclasses import dataclass, field
 from hashlib import sha256
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import (
+    TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple, Union,
+)
 
 from repro import leases
 from repro.simulation import faults, registry
@@ -102,6 +104,9 @@ from repro.simulation.cache import (
 from repro.simulation.faults import DEFAULT_MAX_ATTEMPTS
 from repro.simulation.parallel import auto_chunk_size
 from repro.simulation.results import RateSummary, SeriesResult
+
+if TYPE_CHECKING:
+    from multiprocessing.connection import Connection
 
 Reduced = Union[RateSummary, SeriesResult]
 Params = Tuple[Tuple[str, object], ...]
@@ -898,8 +903,12 @@ def _process_task(
                 stats.quarantined += 1
                 break
             attempt = queue.record_attempt(task_id, seed)
-            seed_start = time.perf_counter()
             try:
+                # Build (or look up) the arena before the timer starts,
+                # so a worker's first seed records its own runtime, not
+                # the build's; a failing build still hits the boundary.
+                registry.warm_arena(scenario, params)
+                seed_start = time.perf_counter()
                 _maybe_seed_fault(queue, seed)
                 result = registry.run_reduced(scenario, params, seed)
             except Exception as error:  # the error boundary
@@ -974,6 +983,7 @@ def worker_loop(
     only_sweep: Optional[str] = None,
     only_sweeps: Optional[Sequence[str]] = None,
     _daemon: bool = False,
+    _wake: Optional[Connection] = None,
 ) -> WorkerStats:
     """One worker: claim, execute and complete tasks under ``queue_dir``.
 
@@ -989,6 +999,10 @@ def worker_loop(
     ``max_attempts`` is this worker's *default* per-seed retry budget;
     a sweep manifest that pins its own budget always wins, so a fleet
     of differently-configured daemons still quarantines consistently.
+
+    ``_wake`` is the write end of a coordinator's wake pipe (its local
+    fleet only): one byte after every processed task wakes the waiting
+    coordinator at once instead of at its next timed poll.
     """
     owner = owner or default_worker_id()
     cache = SweepCache(Path(cache_dir)) if cache_dir is not None else None
@@ -1031,6 +1045,8 @@ def worker_loop(
                     queue, task, claim, cache, stats, _daemon,
                     lease_ttl=lease_ttl, max_attempts=max_attempts,
                 )
+                if _wake is not None:
+                    _wake_coordinator(_wake)
                 progressed = True
                 if max_tasks is not None and stats.tasks_done >= max_tasks:
                     return stats
@@ -1047,10 +1063,12 @@ def _local_worker_main(
     cache_dir: Optional[str],
     poll: float,
     lease_ttl: float,
+    wake: Connection,
     stop_flag: Optional[str] = None,
 ) -> None:
     """Entry point of a coordinator-spawned local worker process.
 
+    ``wake`` is the coordinator's wake pipe (see :func:`worker_loop`).
     ``stop_flag`` names a file whose existence asks this worker to
     retire: it finishes its current task, sees the flag between
     claims, and exits — the autoscaler's graceful scale-down (a lease
@@ -1062,8 +1080,30 @@ def _local_worker_main(
         stop = flag.exists
     worker_loop(
         queue_dir, cache_dir, poll=poll, lease_ttl=lease_ttl,
-        stop=stop, _daemon=True,
+        stop=stop, _daemon=True, _wake=wake,
     )
+
+
+def _wake_coordinator(wake: Connection) -> None:
+    """Write one byte to the coordinator's non-blocking wake pipe.
+
+    A full pipe means a wake is already pending, and a closed read end
+    means the coordinator is no longer waiting; either way there is
+    nothing to add.
+    """
+    try:
+        os.write(wake.fileno(), b"\0")
+    except (BlockingIOError, BrokenPipeError):
+        pass
+
+
+def _drain_wakes(wake: Connection) -> None:
+    """Empty the (non-blocking) read end of a wake pipe."""
+    try:
+        while os.read(wake.fileno(), 4096):
+            pass
+    except BlockingIOError:
+        pass
 
 
 # ---------------------------------------------------------------------------
@@ -1238,6 +1278,8 @@ def _run_queued(
     max_workers: Optional[int] = None,
 ) -> List[DistributedOutcome]:
     """The enqueue / fleet / wait / collect body of ``execute_queued``."""
+    from multiprocessing.connection import wait
+
     # Late import: repro.sched builds on this module's queue primitives.
     from repro.sched.autoscale import (
         AutoscalePolicy,
@@ -1295,12 +1337,19 @@ def _run_queued(
     our_sweeps = [queue.sweep_id for queue in queues]
     cache_arg = str(cache_root) if cache_root is not None else None
     context = multiprocessing.get_context()
+    # The wake channel: every local worker writes one byte to this pipe
+    # after each task it processes, and the coordinator's idle waits
+    # block on it and on the workers' sentinels, so a finished task or
+    # a dead worker ends the wait at once.  It shares no lock with the
+    # workers (a SIGKILLed one cannot wedge it), and the coordinator
+    # keeps its own write end open, so the read end never sees EOF.
+    wake_reader, wake_writer = context.Pipe(duplex=False)
 
-    def _spawn_worker(stop_flag: Path):
+    def _spawn_worker(stop_flag: Optional[Path] = None):
         process = context.Process(
             target=_local_worker_main,
-            args=(str(queue_root), cache_arg, poll, lease_ttl,
-                  str(stop_flag)),
+            args=(str(queue_root), cache_arg, poll, lease_ttl, wake_writer,
+                  None if stop_flag is None else str(stop_flag)),
             daemon=True,
         )
         process.start()
@@ -1308,25 +1357,31 @@ def _run_queued(
 
     supervisor: Optional[FleetSupervisor] = None
     processes: List[multiprocessing.Process] = []
-    if autoscale:
-        supervisor = FleetSupervisor(
-            spawn=_spawn_worker,
-            policy=AutoscalePolicy(fleet_min, fleet_max),
-            queue_dir=queue_root,
-        )
-    else:
-        processes = [
-            context.Process(
-                target=_local_worker_main,
-                args=(str(queue_root), cache_arg, poll, lease_ttl),
-                daemon=True,
-            )
-            for _ in range(workers)
-        ]
+
+    def _idle_wait(timeout: float) -> None:
+        if supervisor is not None:
+            fleet = supervisor.sentinels()
+        else:
+            fleet = [
+                process.sentinel for process in processes
+                if process.is_alive()
+            ]
+        wait([wake_reader, *fleet], timeout)
+        _drain_wakes(wake_reader)
+
     aborted = False
     try:
-        for process in processes:
-            process.start()
+        os.set_blocking(wake_reader.fileno(), False)
+        os.set_blocking(wake_writer.fileno(), False)
+        if autoscale:
+            supervisor = FleetSupervisor(
+                spawn=_spawn_worker,
+                policy=AutoscalePolicy(fleet_min, fleet_max),
+                queue_dir=queue_root,
+            )
+        else:
+            for _ in range(workers):
+                processes.append(_spawn_worker())
         # The stall window: how long the queue may go without a new done
         # marker before the coordinator drains inline.  At least one
         # lease TTL, so a crashed worker's chunk can first be stolen by
@@ -1334,11 +1389,12 @@ def _run_queued(
         stall_window = max(lease_ttl, 1.0)
         repair_every = max(poll * 10.0, 0.5)
         scale_every = max(poll * 5.0, 0.25)
-        # Adaptive wait: the idle sleep doubles while no task completes
+        # Adaptive wait: the idle wait doubles while no task completes
         # (capped well under the stall window so stall detection keeps
         # its resolution) and snaps back to ``poll`` on any progress —
-        # a quiet queue stops burning scans, a completion still wakes
-        # the coordinator promptly.
+        # a quiet queue stops burning scans.  A local worker's task or
+        # death ends the wait early through the wake channel; work done
+        # by external daemons is seen at the next timed poll.
         sleep_cap = max(poll, min(0.5, stall_window / 4.0))
         idle_sleep = poll
         total_tasks = sum(len(queue.task_ids()) for queue in queues)
@@ -1419,10 +1475,10 @@ def _run_queued(
                 else:
                     # Nothing claimable yet (e.g. an orphaned lease
                     # still inside its TTL) — wait, don't spin.
-                    time.sleep(idle_sleep)
+                    _idle_wait(idle_sleep)
                     idle_sleep = min(idle_sleep * 2.0, sleep_cap)
             else:
-                time.sleep(idle_sleep)
+                _idle_wait(idle_sleep)
                 idle_sleep = min(idle_sleep * 2.0, sleep_cap)
     except SweepAborted:
         aborted = True
@@ -1435,6 +1491,8 @@ def _run_queued(
                 process.terminate()
         for process in processes:
             process.join(timeout=5.0)
+        wake_reader.close()
+        wake_writer.close()
         if aborted:
             # Leave nothing behind: a cancelled campaign's sweep dirs
             # (tasks, leases, attempt markers, quarantine diagnostics)

@@ -27,6 +27,7 @@ from repro.core.environment import (
     EnvironmentSchedule,
     cannikin_debias,
 )
+from repro.core.ids import resolve_compute
 from repro.core.update import forget
 from repro.simulation.config import EnvironmentConfig
 from repro.simulation.results import SeriesResult
@@ -69,8 +70,6 @@ class EnvironmentSimulation:
         seed: int = 0,
         compute: str = "python",
     ) -> None:
-        from repro.core.kernels import resolve_compute
-
         self.config = config
         self.seed = seed
         self.schedule = EnvironmentSchedule(config.schedule)

@@ -22,7 +22,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.core.ids import NodeId
+from repro.core.ids import NodeId, resolve_compute
 from repro.simulation.config import MutualityConfig
 from repro.simulation.results import RateSummary
 from repro.simulation.rng import spawn
@@ -78,8 +78,6 @@ class MutualitySimulation:
         compute: str = "python",
         hoods: Optional[Mapping[NodeId, Sequence[NodeId]]] = None,
     ) -> None:
-        from repro.core.kernels import resolve_compute
-
         self.graph = graph
         self.config = config
         self.seed = seed

@@ -286,6 +286,70 @@ class TestWorkerLoop:
             queue.collect()
 
 
+# The slow synthetic build: far longer than any of its seeds.
+BUILD_SECONDS = 0.3
+
+
+def _build_slowly(params):
+    time.sleep(BUILD_SECONDS)
+    return {}
+
+
+def _seed_instantly(arena, params, seed):
+    return seed
+
+
+def _reduce_to_series(result):
+    from repro.simulation.results import SeriesResult
+
+    return SeriesResult("seed", [float(result)])
+
+
+@pytest.fixture
+def slow_build_scenario(request):
+    """A registered scenario whose arena build sleeps ``BUILD_SECONDS``."""
+    name = "synthetic-slow-build"
+    registry._register(registry.ScenarioSpec(
+        name=name,
+        kind="series",
+        description="synthetic slow-build test spec",
+        defaults={"knob": 1},
+        _build=_build_slowly,
+        _seed_run=_seed_instantly,
+        _reduce=_reduce_to_series,
+    ))
+    registry.clear_arenas()
+    request.addfinalizer(registry.clear_arenas)
+    request.addfinalizer(lambda: registry._REGISTRY.pop(name, None))
+    return registry.get(name)
+
+
+class TestSeedRuntimes:
+    def test_recorded_runtimes_exclude_the_arena_build(
+        self, tmp_path, slow_build_scenario,
+    ):
+        """The first seed a worker runs builds the arena; its recorded
+        runtime (done marker, cache metadata, scheduler telemetry) is
+        the seed's own, as on the pool path's warmed workers."""
+        queue = WorkQueue.create(
+            tmp_path / "queue", slow_build_scenario.name,
+            slow_build_scenario.params_key(), [1, 2], 1,
+        )
+        stats = worker_loop(tmp_path / "queue", tmp_path / "cache", drain=True)
+        assert stats.seeds_run == 2
+        runtimes = queue.seed_runtimes()
+        assert set(runtimes) == {1, 2}
+        assert max(runtimes.values()) < BUILD_SECONDS
+        cached = SweepCache(tmp_path / "cache")
+        for seed in (1, 2):
+            key = SweepCache.key(
+                slow_build_scenario.name, slow_build_scenario.params_key(),
+                seed,
+            )
+            _, runtime = cached.get_entry(key)
+            assert runtime == runtimes[seed]
+
+
 class TestExecuteDistributed:
     def test_inline_drain_matches_oracle(self, tmp_path):
         spec = registry.get(SCENARIO)
@@ -442,6 +506,62 @@ class TestSweepDistributed:
                     queue_dir=tmp_path / "q", lease_ttl=-1.0,
                 ),
             )
+
+
+class TestCoordinatorWake:
+    def test_local_worker_wakes_the_coordinator(self, tmp_path):
+        """With a 3 s poll the coordinator's first idle wait alone would
+        last 3 s; a local worker's completed task ends it at once."""
+        spec = registry.get(SCENARIO)
+        params = spec.params_key(smoke=True)
+        seeds = (1, 2, 3, 4)
+        start = time.monotonic()
+        outcome = execute_queued(
+            [QueuedJob(SCENARIO, params, seeds)], workers=2, chunk_size=2,
+            queue_dir=tmp_path / "q", poll=3.0,
+        )[0]
+        elapsed = time.monotonic() - start
+        assert elapsed < 2.0
+        assert outcome.results == {
+            seed: spec.run(seed, smoke=True) for seed in seeds
+        }
+
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd"
+    )
+    def test_wake_pipe_ends_are_closed_after_the_run(self, tmp_path):
+        # An unclosed Connection raises no ResourceWarning, so count
+        # this process's descriptors instead: runs must not add any.
+        spec = registry.get(SCENARIO)
+        job = QueuedJob(SCENARIO, spec.params_key(smoke=True), (1, 2))
+        execute_queued([job], workers=1, queue_dir=tmp_path / "warm")
+        before = len(os.listdir("/proc/self/fd"))
+        for run in range(3):
+            execute_queued([job], workers=2, queue_dir=tmp_path / str(run))
+        assert len(os.listdir("/proc/self/fd")) <= before
+
+    def test_autoscaled_worker_wakes_the_coordinator(self, tmp_path):
+        """Timed at the coordinator's last pass (it polls ``stop`` once
+        per pass): the autoscaler's graceful shutdown afterwards may
+        wait out a retiring worker's own idle poll."""
+        spec = registry.get(SCENARIO)
+        params = spec.params_key(smoke=True)
+        seeds = (1, 2, 3)
+        passes = []
+
+        def stop():
+            passes.append(time.monotonic())
+            return False
+
+        start = time.monotonic()
+        outcome = execute_queued(
+            [QueuedJob(SCENARIO, params, seeds)], workers=1, chunk_size=1,
+            queue_dir=tmp_path / "q", poll=3.0, autoscale=True, stop=stop,
+        )[0]
+        assert passes[-1] - start < 2.0
+        assert outcome.results == {
+            seed: spec.run(seed, smoke=True) for seed in seeds
+        }
 
 
 class TestWorkerIdentity:

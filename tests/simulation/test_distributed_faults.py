@@ -19,6 +19,7 @@ sweep-wide; ``hang:<seed>`` makes one daemon sleep past its lease TTL.
 
 import multiprocessing
 import os
+import threading
 import time
 from pathlib import Path
 
@@ -28,7 +29,9 @@ from repro.api import ExecutionProfile, SweepSpec
 from repro.leases import steal_threshold
 from repro.simulation import registry
 from repro.simulation.distributed import (
+    QueuedJob,
     WorkQueue,
+    execute_queued,
     requeue_quarantined,
     worker_loop,
 )
@@ -156,6 +159,34 @@ class TestSigkillMidChunk:
         )
         assert distributed.per_seed == sequential.per_seed
         assert distributed.steals == 1  # one death, one reclaim
+
+
+class TestKilledWorkerDoesNotWedgeTheCoordinator:
+    def test_queued_run_with_killed_local_worker_finishes(self, tmp_path):
+        """The coordinator waits on its wake pipe and its workers'
+        sentinels; a worker SIGKILLed mid-chunk holds no lock there, so
+        the run still ends, with every seed equal to the oracle."""
+        seeds = tuple(seed_range(6))
+        params = registry.get(SCENARIO).params_key(smoke=True)
+        outcomes = []
+        os.environ["REPRO_WORKER_FAULT"] = "sigkill:3"
+        try:
+            runner = threading.Thread(
+                target=lambda: outcomes.extend(execute_queued(
+                    [QueuedJob(SCENARIO, params, seeds)], workers=2,
+                    chunk_size=2, queue_dir=tmp_path / "q", lease_ttl=0.5,
+                    timeout=WAIT,
+                )),
+                daemon=True,
+            )
+            runner.start()
+            runner.join(WAIT)
+        finally:
+            del os.environ["REPRO_WORKER_FAULT"]
+        assert not runner.is_alive(), "coordinator wedged"
+        (outcome,) = outcomes
+        assert outcome.results == _oracle(seeds)
+        assert outcome.steals == 1
 
 
 class TestCorruptTaskFile:

@@ -8,8 +8,14 @@ scenario* — the cross-backend direction no generic harness covers — and
 by pinning the profile/CLI plumbing that routes ``--compute`` overrides.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.api import ExecutionProfile, SweepSpec
 from repro.core.kernels import HAVE_NUMPY
 from repro.simulation import registry
@@ -190,3 +196,58 @@ class TestSimulationBackends:
             resolve_compute("gpu")
         assert resolve_compute("python") == "python"
         assert resolve_compute("vectorized") == "vectorized"
+
+
+# One python-compute seed of each numpy-free scenario family, and a
+# default engine: none of them may import numpy.
+_PYTHON_PATH_SCRIPT = """
+import sys
+from repro.core.engine import DelegationEngine
+from repro.simulation import registry
+
+registry.get("fig7-mutuality").run(1, smoke=True)
+assert "numpy" not in sys.modules, "fig7-mutuality"
+registry.get("fig15-environment").run(1)
+assert "numpy" not in sys.modules, "fig15-environment"
+DelegationEngine()
+assert "numpy" not in sys.modules, "DelegationEngine"
+"""
+
+# numpy unimportable: "vectorized" resolves to the python oracle.
+_NO_NUMPY_SCRIPT = """
+import sys
+sys.modules["numpy"] = None
+from repro.core import kernels
+from repro.core.ids import resolve_compute
+from repro.simulation import registry
+
+assert resolve_compute("vectorized") == "python"
+assert kernels.resolve_compute("vectorized") == "python"
+assert kernels.HAVE_NUMPY is False
+for name in registry.names():
+    if name.endswith("-vectorized"):
+        base = name[: -len("-vectorized")]
+        got = registry.get(name).run(3, smoke=True)
+        assert got == registry.get(base).run(3, smoke=True), name
+"""
+
+
+def _run_fresh(script):
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + env.get("PYTHONPATH", "").split(os.pathsep)
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+
+
+class TestPythonPathImportsNoNumpy:
+    def test_python_compute_seeds_never_import_numpy(self):
+        _run_fresh(_PYTHON_PATH_SCRIPT)
+
+    def test_vectorized_falls_back_when_numpy_is_missing(self):
+        _run_fresh(_NO_NUMPY_SCRIPT)
